@@ -18,7 +18,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "audit/auditor.h"
 #include "harness.h"
 #include "obs/recovery.h"
 #include "obs/timeseries.h"
@@ -95,20 +94,23 @@ std::vector<double> RunTimeline(Mode mode, ObsSession* obs = nullptr,
     obs->StartSampling(sim, obs->metrics_period(), kEnd);
   }
 
-  // Recovery forensics: a bench-local auditor feeds the protocol tap stream
-  // (fault injected, routes rebuilt, lease re-acquired, first output) into
-  // the episode tracker, which replaces the old "first bucket above 50%
-  // goodput" recovery estimate with a causal phase decomposition.
-  audit::Auditor auditor;
+  // Recovery forensics: the episode tracker subscribes to the event stream
+  // (fault injected, routes rebuilt, lease re-acquired, first output) and
+  // decomposes the recovery into causal phases.  It rides the session's
+  // tracer when tracing is on, else a bench-local one.
+  obs::Tracer local_stream;
   obs::MetricRegistry wheel_reg("wheel");
   obs::MetricsHub fleet_hub;
   std::unique_ptr<obs::FleetSampler> fleet;
   if (tracker != nullptr && mode == Mode::kFailureRedPlane) {
-    auditor.SetClock([&sim] { return sim.Now(); });
-    audit::SetGlobalAuditor(&auditor);
-    auditor.SetEnabled(true);
-    auditor.SetTapObserver(
-        [tracker](const audit::TapEvent& ev) { tracker->OnTapEvent(ev); });
+    obs::Tracer* stream = obs::GlobalTracer();
+    if (stream == nullptr || !stream->enabled()) {
+      stream = &local_stream;
+      local_stream.SetClock([&sim] { return sim.Now(); });
+      local_stream.SetEnabled(true);
+      obs::SetGlobalTracer(&local_stream);
+    }
+    stream->Subscribe(*tracker);
     if (!fleet_out.empty()) {
       // Continuous fleet telemetry: per-second goodput / lease churn /
       // replication rates plus wheel and SoA-table occupancy, one CSV row
@@ -198,7 +200,7 @@ int main(int argc, char** argv) {
   ObsSession* obs_ptr = obs.enabled() ? &obs : nullptr;
   const auto baseline = RunTimeline(Mode::kBaseline);
   const auto failure = RunTimeline(Mode::kFailureNoRedPlane);
-  obs::RecoveryTracker tracker(obs.enabled() ? &obs.tracer() : nullptr);
+  obs::RecoveryTracker tracker;
   const auto redplane =
       RunTimeline(Mode::kFailureRedPlane, obs_ptr, &tracker, fleet_out);
 
@@ -209,7 +211,7 @@ int main(int argc, char** argv) {
                FormatDouble(failure[s], 2), FormatDouble(redplane[s], 2)});
   }
 
-  // Recovery decomposition from the audit-tap episode: fault injection to
+  // Recovery decomposition from the stream's episode: fault injection to
   // first packet served, split into causally ordered phases.
   std::printf("\n=== RedPlane recovery decomposition ===\n");
   std::ostringstream timeline;

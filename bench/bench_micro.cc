@@ -8,7 +8,6 @@
 
 #include "apps/sketch.h"
 #include "audit/auditor.h"
-#include "audit/taps.h"
 #include "core/protocol.h"
 #include "core/snapshot.h"
 #include "dataplane/register_array.h"
@@ -536,27 +535,38 @@ BENCHMARK(BM_MirrorDueScan)->Arg(10240)->Arg(1 << 20);
 
 // --- Online auditor overhead -----------------------------------------------
 
-// Hop forwarding with the auditor armed (standard monitors installed, no
-// violations).  Hop paths carry only the armed() guard — taps publish
-// protocol milestones (lease grant, store apply, ack release), never
-// per-hop facts — so the armed cost on a hop is one global load and a
-// predictable branch.  ci/perf_smoke.py holds this within 5% of
-// BM_LinkHopForward.
-void BM_LinkHopForwardAuditorArmed(benchmark::State& state) {
+// The event stream armed with only the auditor subscribed (standard
+// monitors installed, no violations) — the twins below measure what that
+// costs a hot path whose sites stay guarded.
+struct ArmedAuditor {
+  ArmedAuditor() : stream(1u << 12), prev(obs::SetGlobalTracer(&stream)) {
+    auditor.ArmStandardMonitors();
+    stream.Subscribe(auditor);
+    stream.SetEnabled(true);
+  }
+  ~ArmedAuditor() { obs::SetGlobalTracer(prev); }
+
+  obs::Tracer stream;
+  obs::Tracer* prev;
   audit::Auditor auditor;
-  auditor.ArmStandardMonitors();
-  auditor.SetEnabled(true);
-  audit::Auditor* prev = audit::SetGlobalAuditor(&auditor);
-  audit::TapHandle tap("bench-hop");
+};
+
+// Hop forwarding with the auditor armed.  Hop paths carry only the armed()
+// guard — the auditor's facts are protocol milestones (lease grant, store
+// apply, ack release), never per-hop facts — so the armed cost on a hop is
+// one global load and a predictable branch.  ci/perf_smoke.py holds this
+// within 5% of BM_LinkHopForward.
+void BM_LinkHopForwardAuditorArmed(benchmark::State& state) {
+  ArmedAuditor armed;
+  obs::TraceHandle handle("bench-hop");
   net::Packet pkt = SamplePacket();
   std::vector<std::byte> body(512, std::byte{0xAB});
   pkt.payload = std::move(body);
   for (auto _ : state) {
     net::Packet hop = pkt;
-    if (tap.armed()) benchmark::DoNotOptimize(&tap);
+    if (handle.armed()) benchmark::DoNotOptimize(&handle);
     benchmark::DoNotOptimize(hop.payload.data());
   }
-  audit::SetGlobalAuditor(prev);
 }
 BENCHMARK(BM_LinkHopForwardAuditorArmed);
 
@@ -564,20 +574,16 @@ BENCHMARK(BM_LinkHopForwardAuditorArmed);
 // as BM_ChainHopForwardZeroCopy plus the armed guard.  Held within 5% of the
 // unarmed bench by ci/perf_smoke.py.
 void BM_ChainHopForwardAuditorArmed(benchmark::State& state) {
-  audit::Auditor auditor;
-  auditor.ArmStandardMonitors();
-  auditor.SetEnabled(true);
-  audit::Auditor* prev = audit::SetGlobalAuditor(&auditor);
-  audit::TapHandle tap("bench-chain");
+  ArmedAuditor armed;
+  obs::TraceHandle handle("bench-chain");
   net::BufferView payload{core::EncodeMsg(SampleChainMsg())};
   for (auto _ : state) {
     auto v = core::MsgView::Parse(std::move(payload));
     v->SetChainHop(static_cast<std::uint8_t>(v->chain_hop() + 1));
     payload = v->bytes();
-    if (tap.armed()) benchmark::DoNotOptimize(&tap);
+    if (handle.armed()) benchmark::DoNotOptimize(&handle);
     benchmark::DoNotOptimize(payload.data());
   }
-  audit::SetGlobalAuditor(prev);
 }
 BENCHMARK(BM_ChainHopForwardAuditorArmed);
 
@@ -622,23 +628,20 @@ void BM_ChainHopForwardProfilerArmed(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainHopForwardProfilerArmed);
 
-// A full milestone publish: one Emit dispatched synchronously through all
-// four standard monitors.  Same-component lease renewals never violate, so
-// this is the steady-state (silent) per-milestone cost.
+// A full milestone emit: one event stamped, recorded in the ring and
+// dispatched synchronously through the standard monitors.  Same-component
+// lease renewals never violate, so this is the steady-state (silent)
+// per-milestone cost.
 void BM_AuditTapDispatch(benchmark::State& state) {
-  audit::Auditor auditor;
-  auditor.ArmStandardMonitors();
-  auditor.SetEnabled(true);
-  audit::Auditor* prev = audit::SetGlobalAuditor(&auditor);
-  audit::TapHandle tap("bench-switch");
+  ArmedAuditor armed;
+  obs::TraceHandle handle("bench-switch");
   for (auto _ : state) {
-    if (tap.armed()) {
-      tap.Emit(audit::Tap::kLeaseAcquired, 0xabcdef0123456789ull, 0,
-               /*aux=believed expiry*/ 1'000'000'000ull);
+    if (handle.armed()) {
+      handle.Emit(obs::Ev::kLeaseAcquired, 0xabcdef0123456789ull, 0, 0.0, 0,
+                  /*aux=believed expiry*/ 1'000'000'000ull);
     }
   }
-  benchmark::DoNotOptimize(auditor.events_seen());
-  audit::SetGlobalAuditor(prev);
+  benchmark::DoNotOptimize(armed.auditor.events_seen());
 }
 BENCHMARK(BM_AuditTapDispatch);
 

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "audit/auditor.h"
 #include "harness.h"
 #include "net/codec.h"
 #include "obs/recovery.h"
@@ -29,7 +28,7 @@ struct Scenario {
   Deployment deploy;
   routing::Testbed* tb = nullptr;
   std::unique_ptr<routing::FailureInjector> injector;
-  audit::Auditor auditor;
+  obs::Tracer stream;
   obs::RecoveryTracker tracker;
 
   void Build(std::function<std::vector<std::byte>(const net::PartitionKey&)>
@@ -67,16 +66,15 @@ struct Scenario {
     sim.RunUntil(sim.Now() + Milliseconds(200));
   }
 
-  /// Arms the audit-tap stream into the recovery tracker.  Call right
-  /// before FailOver() — PinToAgg0's deliberate agg1 failure would
-  /// otherwise open a bogus episode.
+  /// Arms the event stream into the recovery tracker.  Call right before
+  /// FailOver() — PinToAgg0's deliberate agg1 failure would otherwise open
+  /// a bogus episode.
   void ArmForensics() {
     auto& sim = deploy.sim();
-    auditor.SetClock([&sim] { return sim.Now(); });
-    audit::SetGlobalAuditor(&auditor);
-    auditor.SetEnabled(true);
-    auditor.SetTapObserver(
-        [this](const audit::TapEvent& ev) { tracker.OnTapEvent(ev); });
+    stream.SetClock([&sim] { return sim.Now(); });
+    stream.SetEnabled(true);
+    obs::SetGlobalTracer(&stream);
+    stream.Subscribe(tracker);
   }
 
   /// Finalizes the tracker and renders the per-phase timeline.

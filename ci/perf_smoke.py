@@ -21,11 +21,12 @@ Two kinds of checks:
         (BM_SingleOwnerSequencingPolicy) stays within 2% of the hard-wired
         before-twin (BM_SingleOwnerSequencingInline), plus a small absolute
         epsilon for timer granularity on the ~9 ns region.
- 2. Absolute regression against the recorded baselines (BENCH_PR2.json,
-    BENCH_PR7.json, BENCH_PR9.json; --baseline is repeatable): each
-    benchmark must stay within --tolerance (default 25%) of its baseline
-    time.  Skipped with --no-absolute on hardware that does not match the
-    baseline machine.
+ 2. Absolute regression against the recorded baselines (by default every
+    BENCH_PR*.json at the repo root that carries a reference_ns map;
+    --baseline is repeatable and replaces that list): each benchmark must
+    stay within --tolerance (default 25%) of its baseline time.  Skipped
+    with --no-absolute on hardware that does not match the baseline
+    machine.
 
 When a regression fires, --profile (a profile JSON written by a bench run's
 --profile-out, or by rpreport) turns the failure from "something got slower"
@@ -35,7 +36,7 @@ last good run — the share diff, sorted by who grew the most.
 
 Usage:
   ci/perf_smoke.py --bench build/bench/bench_micro [--baseline BENCH_PR2.json]
-                   [--baseline BENCH_PR7.json] [--tolerance 0.25]
+                   [--tolerance 0.25]
                    [--no-absolute] [--table-out perf-report/timer_table.md]
                    [--profile run/profile.json]
                    [--profile-baseline good/profile.json]
@@ -47,8 +48,21 @@ the wheel primitives) — CI uploads it as an artifact.
 
 import argparse
 import json
+import pathlib
 import subprocess
 import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def default_baselines():
+    """Every BENCH_PR*.json at the repo root that has a reference_ns map."""
+    paths = []
+    for path in sorted(REPO_ROOT.glob("BENCH_PR*.json")):
+        with open(path) as f:
+            if json.load(f).get("reference_ns"):
+                paths.append(str(path))
+    return paths
 
 
 def subsystem_self_ns(profile_path):
@@ -193,7 +207,7 @@ def main():
     ap.add_argument("--bench", required=True)
     ap.add_argument("--baseline", action="append", default=None,
                     help="baseline JSON with a reference_ns map; repeatable "
-                         "(default: BENCH_PR2.json and BENCH_PR7.json)")
+                         "(default: every BENCH_PR*.json with one)")
     ap.add_argument("--tolerance", type=float, default=0.25)
     ap.add_argument("--no-absolute", action="store_true")
     ap.add_argument("--table-out", default=None,
@@ -251,7 +265,7 @@ def main():
                 f"({results['BM_ProtocolEncode']:.1f} ns) — the envelope is "
                 f"re-serializing")
 
-    # Armed-but-silent auditor overhead on the hop paths: the tap guard is
+    # Armed-but-silent auditor overhead on the hop paths: the emit guard is
     # one global load + predictable branch, so the armed bench must stay
     # within 5% of its unarmed twin.  The +0.5 ns epsilon absorbs timer
     # granularity: on a ~5 ns bench a single tick of run-to-run noise is
@@ -346,8 +360,7 @@ def main():
 
     # --- Absolute regression vs recorded baselines ---
     if not args.no_absolute:
-        baseline_paths = args.baseline or ["BENCH_PR2.json", "BENCH_PR7.json",
-                                           "BENCH_PR9.json"]
+        baseline_paths = args.baseline or default_baselines()
         baseline = {}
         for path in baseline_paths:
             with open(path) as f:

@@ -9,23 +9,14 @@
 namespace redplane::audit {
 
 namespace {
-// Stride > 1: Publish fires on every tapped protocol step when armed, and a
-// sampled scope is enough to attribute monitor cost without inflating it.
+// Stride > 1: OnEvent fires on every stream event when armed, and a sampled
+// scope is enough to attribute monitor cost without inflating it.
 obs::ProfSite g_prof_publish("audit.publish", /*stride=*/16);
 }  // namespace
 
 Auditor::Auditor() {
   events_counter_ = stats_.RegisterCounter("events");
   violations_counter_ = stats_.RegisterCounter("violations");
-}
-
-Auditor::~Auditor() {
-  if (internal::g_auditor == this) SetGlobalAuditor(nullptr);
-}
-
-void Auditor::SetEnabled(bool enabled) {
-  enabled_ = enabled;
-  if (internal::g_auditor == this) internal::g_armed = enabled_;
 }
 
 void Auditor::ArmStandardMonitors() {
@@ -48,53 +39,34 @@ Monitor* Auditor::FindMonitor(std::string_view name) {
   return nullptr;
 }
 
-std::uint16_t Auditor::Intern(std::string_view name) {
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i] == name) return static_cast<std::uint16_t>(i);
-  }
-  components_.emplace_back(name);
-  return static_cast<std::uint16_t>(components_.size() - 1);
-}
-
 const std::string& Auditor::ComponentName(std::uint16_t id) const {
   static const std::string kUnknown = "?";
-  return id < components_.size() ? components_[id] : kUnknown;
+  return stream() != nullptr ? stream()->ComponentName(id) : kUnknown;
 }
 
-void Auditor::Publish(std::uint16_t component, Tap tap, std::uint64_t key,
-                      std::uint64_t seq, std::uint64_t aux, double value) {
-  if (!enabled_) return;
+void Auditor::OnEvent(const obs::TraceRecord& ev) {
   obs::ProfScope prof(g_prof_publish);
-  TapEvent ev;
-  ev.t = NowOrZero();
-  ev.tap = tap;
-  ev.component = component;
-  ev.key = key;
-  ev.seq = seq;
-  ev.aux = aux;
-  ev.value = value;
   ++events_seen_;
   events_counter_.Add();
-  if (tap_observer_) tap_observer_(ev);
   for (auto& m : monitors_) m->OnEvent(*this, ev);
 }
 
-void Auditor::ReportViolation(std::string_view monitor, const TapEvent& at,
-                              std::string detail) {
+void Auditor::ReportViolation(std::string_view monitor,
+                              const obs::TraceRecord& at, std::string detail) {
   ++violations_total_;
   violations_counter_.Add();
   ++counts_by_monitor_[std::string(monitor)];
   stats_.Add(std::string("violations.") + std::string(monitor));
   RP_LOG(kError) << "AUDIT VIOLATION [" << monitor << "] at t=" << at.t
                  << "ns component=" << ComponentName(at.component)
-                 << " key=0x" << std::hex << at.key << std::dec
+                 << " key=0x" << std::hex << at.flow << std::dec
                  << " seq=" << at.seq << ": " << detail;
   if (violations_.size() >= kMaxStoredViolations) return;
   Violation v;
   v.monitor = std::string(monitor);
   v.detail = std::move(detail);
   v.at = at;
-  if (tracer_ != nullptr) v.slice = ExtractSlice(*tracer_, at.key, at.t);
+  if (stream() != nullptr) v.slice = ExtractSlice(*stream(), at.flow, at.t);
   violations_.push_back(std::move(v));
 }
 

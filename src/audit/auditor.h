@@ -1,7 +1,7 @@
 // Online protocol auditor: checks RedPlane's safety invariants live.
 //
-// The auditor receives TapEvents from instrumented components (see
-// audit/taps.h), stamps them with the simulation clock, and dispatches them
+// The auditor is a subscriber of the event stream (obs/tracer.h): attach it
+// with `tracer.Subscribe(auditor)` and it dispatches every stamped event
 // synchronously to a set of invariant monitors — the runtime-verification
 // counterparts of the properties src/modelcheck explores offline:
 //
@@ -13,9 +13,9 @@
 // plus a LinearizabilityFeed (audit/lin_feed.h) that runs the modelcheck
 // linearizability checker on each flow's live history at flow close.
 //
-// On violation the auditor cuts a causal slice from the global tracer
-// (audit/slice.h): the happens-before-closed window of trace events that
-// explains the violation, exportable as Perfetto JSON or text.
+// On violation the auditor cuts a causal slice from the ring of the tracer
+// it is attached to (audit/slice.h): the happens-before-closed window of
+// events that explains the violation, exportable as Perfetto JSON or text.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +27,24 @@
 #include <vector>
 
 #include "audit/slice.h"
-#include "audit/taps.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace redplane::audit {
 
+class Auditor;
+
 /// One confirmed invariant violation.
 struct Violation {
-  std::string monitor;  // monitor name ("single_owner", ...)
-  std::string detail;   // human-readable explanation
-  TapEvent at;          // the event that completed the violation
-  CausalSlice slice;    // flight-recorder window (empty when no tracer)
+  std::string monitor;    // monitor name ("single_owner", ...)
+  std::string detail;     // human-readable explanation
+  obs::TraceRecord at;    // the event that completed the violation
+  CausalSlice slice;      // flight-recorder window
 };
 
 /// Base class for invariant monitors.  Monitors are single-threaded state
-/// machines fed every published TapEvent in order; they call
+/// machines fed every stream event in order; they call
 /// Auditor::ReportViolation when an invariant breaks.
 class Monitor {
  public:
@@ -51,7 +52,7 @@ class Monitor {
   virtual ~Monitor() = default;
   const std::string& name() const { return name_; }
 
-  virtual void OnEvent(Auditor& auditor, const TapEvent& ev) = 0;
+  virtual void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) = 0;
   /// Drops accumulated state (between campaign runs).
   virtual void Reset() {}
 
@@ -59,46 +60,24 @@ class Monitor {
   std::string name_;
 };
 
-class Auditor {
+class Auditor : public obs::Subscriber {
  public:
   Auditor();
-  ~Auditor();
 
-  Auditor(const Auditor&) = delete;
-  Auditor& operator=(const Auditor&) = delete;
-
-  // --- configuration ---
-  void SetClock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
-  void SetEnabled(bool enabled);
-  bool enabled() const { return enabled_; }
-  /// Tracer to cut causal slices from on violation (optional).
-  void SetTracer(const obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Raw tap-stream observer, called with every published event before the
-  /// monitors run.  This is how passive consumers that must not depend on
-  /// the audit library's monitors (e.g. obs::RecoveryTracker) subscribe to
-  /// the fact stream; pass an empty function to detach.
-  void SetTapObserver(std::function<void(const TapEvent&)> observer) {
-    tap_observer_ = std::move(observer);
-  }
-
-  /// Installs the four standard protocol monitors (see audit/monitors.h).
+  /// Installs the standard protocol monitors (see audit/monitors.h).
   void ArmStandardMonitors();
   void AddMonitor(std::unique_ptr<Monitor> monitor);
   Monitor* FindMonitor(std::string_view name);
   std::size_t NumMonitors() const { return monitors_.size(); }
 
-  // --- component interning (mirrors obs::Tracer) ---
-  std::uint16_t Intern(std::string_view name);
-  const std::string& ComponentName(std::uint16_t id) const;
-  std::uint64_t generation() const { return generation_; }
+  /// Stream intake: runs every monitor on `ev`.
+  void OnEvent(const obs::TraceRecord& ev) override;
 
-  // --- event intake (called by TapHandle::Emit) ---
-  void Publish(std::uint16_t component, Tap tap, std::uint64_t key,
-               std::uint64_t seq = 0, std::uint64_t aux = 0,
-               double value = 0.0);
+  /// Name of a component id, from the attached tracer's table.
+  const std::string& ComponentName(std::uint16_t id) const;
 
   // --- violation reporting (called by monitors) ---
-  void ReportViolation(std::string_view monitor, const TapEvent& at,
+  void ReportViolation(std::string_view monitor, const obs::TraceRecord& at,
                        std::string detail);
 
   // --- findings ---
@@ -117,15 +96,7 @@ class Auditor {
   static constexpr std::size_t kMaxStoredViolations = 64;
 
  private:
-  SimTime NowOrZero() const { return clock_ ? clock_() : 0; }
-
-  bool enabled_ = false;
-  std::function<SimTime()> clock_;
-  const obs::Tracer* tracer_ = nullptr;
-  std::function<void(const TapEvent&)> tap_observer_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
-  std::vector<std::string> components_;
-  std::uint64_t generation_ = 1;
   std::uint64_t events_seen_ = 0;
   std::vector<Violation> violations_;
   std::uint64_t violations_total_ = 0;

@@ -39,7 +39,8 @@ std::size_t DiagRegistry::Size() const { return entries_.size(); }
 void DumpDiagnostics(std::ostream& os, std::size_t last_n) {
   os << "======== redplane diagnostics ========\n";
 
-  if (const obs::Tracer* tracer = obs::GlobalTracer(); tracer != nullptr) {
+  const obs::Tracer* tracer = obs::GlobalTracer();
+  if (tracer != nullptr) {
     const auto records = tracer->Records();
     const std::size_t n = std::min(last_n, records.size());
     os << "---- tracer tail (" << n << " of " << records.size()
@@ -50,6 +51,7 @@ void DumpDiagnostics(std::ostream& os, std::size_t last_n) {
          << "  " << obs::EvName(r.ev) << "  flow=0x" << std::hex << r.flow
          << std::dec << " seq=" << r.seq;
       if (r.arg != 0.0) os << " arg=" << r.arg;
+      if (r.aux != 0) os << " aux=" << r.aux;
       os << "\n";
     }
   } else {
@@ -58,7 +60,11 @@ void DumpDiagnostics(std::ostream& os, std::size_t last_n) {
 
   DiagRegistry::Instance().DumpAll(os);
 
-  if (const Auditor* auditor = GlobalAuditor(); auditor != nullptr) {
+  for (const obs::Subscriber* s :
+       tracer != nullptr ? tracer->subscribers()
+                         : std::vector<obs::Subscriber*>{}) {
+    const auto* auditor = dynamic_cast<const Auditor*>(s);
+    if (auditor == nullptr) continue;
     const auto& violations = auditor->violations();
     os << "---- auditor: " << violations.size() << " stored violation(s), "
        << auditor->events_seen() << " events seen ----\n";

@@ -73,7 +73,7 @@ class DiagToken {
 
 /// Dumps, to `os`: the last `last_n` events of the global tracer ring (when
 /// one is installed), every DiagRegistry dump (lease tables, flow records),
-/// and any violations held by the global auditor.
+/// and any violations held by auditors subscribed to that tracer.
 void DumpDiagnostics(std::ostream& os, std::size_t last_n = 64);
 
 }  // namespace redplane::audit

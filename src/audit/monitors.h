@@ -1,6 +1,6 @@
 // The standard RedPlane invariant monitors.
 //
-// Each monitor is a small incremental state machine over the tap-event
+// Each monitor is a small incremental state machine over the event
 // stream; together they cover the safety properties of the paper's TLA+
 // appendix that are observable at protocol granularity.  All of them are
 // designed to stay silent across clean failover runs — the tricky part is
@@ -31,12 +31,12 @@ namespace redplane::audit {
 /// via kFlowAdmitted (aux = ConsistencyMode); lease-shaped events on such
 /// keys are ignored — the monitor subscribes per-mode at flow admission,
 /// not globally.  Keys with no admission event default to single-owner
-/// (single-owner flows emit no admission tap, keeping that path
+/// (single-owner flows emit no admission event, keeping that path
 /// bit-identical to the pre-refactor protocol).
 class SingleOwnerMonitor : public Monitor {
  public:
   SingleOwnerMonitor() : Monitor("single_owner") {}
-  void OnEvent(Auditor& auditor, const TapEvent& ev) override;
+  void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) override;
   void Reset() override {
     holders_.clear();
     exempt_.clear();
@@ -57,12 +57,12 @@ class SingleOwnerMonitor : public Monitor {
 /// be answered from durable state, never re-applied).
 ///
 /// Keyed by (component, key) so chain replicas are tracked independently.
-/// kStoreReset clears a component's baselines: a fail-stopped replica lost
+/// kNodeFailure clears a component's baselines: a fail-stopped replica lost
 /// its DRAM records and legitimately re-baselines from resync.
 class SeqMonotonicMonitor : public Monitor {
  public:
   SeqMonotonicMonitor() : Monitor("seq_monotonic") {}
-  void OnEvent(Auditor& auditor, const TapEvent& ev) override;
+  void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) override;
   void Reset() override {
     last_applied_.clear();
     epoch_.clear();
@@ -70,7 +70,7 @@ class SeqMonotonicMonitor : public Monitor {
 
  private:
   // Baselines are keyed on hash(key, component, component-epoch); bumping a
-  // component's epoch on kStoreReset makes its old baselines unreachable —
+  // component's epoch on kNodeFailure makes its old baselines unreachable —
   // an O(1) "forget everything this replica knew".
   std::unordered_map<std::uint64_t, std::uint64_t> last_applied_;
   std::unordered_map<std::uint16_t, std::uint64_t> epoch_;
@@ -89,7 +89,7 @@ class SeqMonotonicMonitor : public Monitor {
 class ChainCommitMonitor : public Monitor {
  public:
   ChainCommitMonitor() : Monitor("chain_commit") {}
-  void OnEvent(Auditor& auditor, const TapEvent& ev) override;
+  void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) override;
   void Reset() override { committed_.clear(); }
 
  private:
@@ -98,12 +98,12 @@ class ChainCommitMonitor : public Monitor {
 
 /// Paper §5 (bounded-inconsistency mode): observed snapshot staleness stays
 /// within the configured ε.  kEpsilonSample events carry the observed
-/// staleness (value, ns) and the configured bound (aux, ns).  A per-key
+/// staleness (arg, ns) and the configured bound (aux, ns).  A per-key
 /// episode latch keeps one sustained excursion from flooding the report.
 class EpsilonBoundMonitor : public Monitor {
  public:
   EpsilonBoundMonitor() : Monitor("epsilon_bound") {}
-  void OnEvent(Auditor& auditor, const TapEvent& ev) override;
+  void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) override;
   void Reset() override { in_violation_.clear(); }
 
  private:
@@ -112,7 +112,7 @@ class EpsilonBoundMonitor : public Monitor {
 
 /// Replicated-read mode (DESIGN.md §14): a read answered from local state
 /// must not observe staleness beyond the app's declared bound.  The switch
-/// taps every locally served read (kLocalReadServed: value = staleness ns,
+/// reports every locally served read (kLocalReadServed: arg = staleness ns,
 /// aux = bound ns); a sample over the bound is a violation — but only for
 /// flows admitted under replicated-read.  Mergeable flows also serve reads
 /// locally (aux = 0, and their kFlowAdmitted says kMergeable): arbitrarily
@@ -121,7 +121,7 @@ class EpsilonBoundMonitor : public Monitor {
 class BoundedStalenessMonitor : public Monitor {
  public:
   BoundedStalenessMonitor() : Monitor("bounded_staleness") {}
-  void OnEvent(Auditor& auditor, const TapEvent& ev) override;
+  void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) override;
   void Reset() override {
     mode_.clear();
     in_violation_.clear();
@@ -133,16 +133,16 @@ class BoundedStalenessMonitor : public Monitor {
 };
 
 /// Mergeable mode (DESIGN.md §14): the store's copy of a mergeable state
-/// only moves up the join lattice.  Every applied merge taps the app's
-/// declared monotone measure of the merged result (kMergeApplied, value);
+/// only moves up the join lattice.  Every applied merge reports the app's
+/// declared monotone measure of the merged result (kMergeApplied, arg);
 /// a decrease at the same replica means the store overwrote instead of
 /// merging — exactly the bug the `overwrite_instead_of_merge` mutation
-/// seeds.  kStoreReset bumps the replica's epoch: a fail-stopped replica
+/// seeds.  kNodeFailure bumps the replica's epoch: a fail-stopped replica
 /// lost its DRAM copy and legitimately re-baselines.
 class MergeConvergenceMonitor : public Monitor {
  public:
   MergeConvergenceMonitor() : Monitor("merge_convergence") {}
-  void OnEvent(Auditor& auditor, const TapEvent& ev) override;
+  void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) override;
   void Reset() override {
     measure_.clear();
     epoch_.clear();

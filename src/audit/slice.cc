@@ -75,12 +75,13 @@ CausalSlice ExtractSlice(const obs::Tracer& tracer, std::uint64_t flow,
     for (std::size_t idx : current) {
       const TraceRecord& end_rec = all[idx];
       for (const auto& p : pairs) {
-        if (end_rec.ev != p.end) continue;
+        if (obs::PairingKind(end_rec.ev) != p.end) continue;
         const std::uint64_t want = PairKey(end_rec, p.seq_matched);
         // Latest begin before this end with the same pairing key.
         for (std::size_t j = idx; j-- > 0;) {
           const TraceRecord& cand = all[j];
-          if (cand.ev == p.begin && PairKey(cand, p.seq_matched) == want) {
+          if (obs::PairingKind(cand.ev) == p.begin &&
+              PairKey(cand, p.seq_matched) == want) {
             if (in_slice.insert(j).second) changed = true;
             break;
           }
@@ -110,19 +111,21 @@ CausalSlice ExtractSlice(const obs::Tracer& tracer, std::uint64_t flow,
     const TraceRecord& victim = all[ordered.front()];
     ordered.erase(ordered.begin());
     for (const auto& p : pairs) {
-      if (victim.ev != p.begin) continue;
+      if (obs::PairingKind(victim.ev) != p.begin) continue;
       const std::uint64_t key = PairKey(victim, p.seq_matched);
       // Drop ends pairing with the victim *unless* a later begin (still in
       // the slice, before the end) re-satisfies them.
       for (auto it = ordered.begin(); it != ordered.end();) {
         const TraceRecord& r = all[*it];
         bool drop = false;
-        if (r.ev == p.end && PairKey(r, p.seq_matched) == key) {
+        if (obs::PairingKind(r.ev) == p.end &&
+            PairKey(r, p.seq_matched) == key) {
           drop = true;
           for (std::size_t other : ordered) {
             if (other >= *it) break;
             const TraceRecord& b = all[other];
-            if (b.ev == p.begin && PairKey(b, p.seq_matched) == key) {
+            if (obs::PairingKind(b.ev) == p.begin &&
+                PairKey(b, p.seq_matched) == key) {
               drop = false;
               break;
             }
@@ -152,7 +155,7 @@ bool IsHappensBeforeClosed(const CausalSlice& slice) {
   for (std::size_t i = 0; i < slice.events.size(); ++i) {
     const TraceRecord& r = slice.events[i];
     for (const auto& p : pairs) {
-      if (r.ev != p.end) continue;
+      if (obs::PairingKind(r.ev) != p.end) continue;
       // Seq-0 records of end-event kinds are control messages (lease
       // acquire / renew); they have no begin partner by design.
       if (p.seq_matched && r.seq == 0) continue;
@@ -166,7 +169,7 @@ bool IsHappensBeforeClosed(const CausalSlice& slice) {
       bool begin_kind_seen = false;
       for (std::size_t j = 0; j < i; ++j) {
         const TraceRecord& b = slice.events[j];
-        if (b.ev != p.begin) continue;
+        if (obs::PairingKind(b.ev) != p.begin) continue;
         begin_kind_seen = true;
         if (PairKey(b, p.seq_matched) == want) {
           satisfied = true;

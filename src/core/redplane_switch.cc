@@ -39,7 +39,6 @@ RedPlaneSwitch::RedPlaneSwitch(
       config_(config),
       stats_(node.name() + "/rp"),
       trace_(node.name() + "/rp"),
-      atap_(node.name() + "/rp"),
       diag_(node.name() + "/rp lease table",
             [this](std::ostream& os) { DumpLeaseTable(os); }) {
   assert(shard_for_);
@@ -235,9 +234,6 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
     trace_.Emit(obs::Ev::kLeaseMiss, net::HashPartitionKey(*key), 0, 0.0,
                 init.span_id);
   }
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kLeaseRequested, net::HashPartitionKey(*key));
-  }
   SendRequest(init, /*mirror=*/true);
 }
 
@@ -302,11 +298,11 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
         for (auto& out : result.outputs) {
           m_.local_reads_served.Add();
           m_.local_read_staleness_us.Record(ToMicroseconds(staleness));
-          if (atap_.armed()) {
-            atap_.Emit(audit::Tap::kLocalReadServed, net::HashPartitionKey(key),
-                       flows_.cur_seq(slot),
-                       static_cast<std::uint64_t>(policy_->staleness_bound()),
-                       static_cast<double>(staleness));
+          if (trace_.armed()) {
+            trace_.Emit(obs::Ev::kLocalReadServed, net::HashPartitionKey(key),
+                        flows_.cur_seq(slot), static_cast<double>(staleness),
+                        0,
+                        static_cast<std::uint64_t>(policy_->staleness_bound()));
           }
           ReleaseOutput(ctx, key, std::move(out));
         }
@@ -350,14 +346,14 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
                                            net::Packet pkt) {
   std::uint32_t slot = flows_.FindSlot(key);
   if (slot == FlowTable::kNilSlot) {
-    // Local admission: no lease, no store round trip.  The admission tap
+    // Local admission: no lease, no store round trip.  The admission event
     // exempts the key from the single-owner invariant — several switches
     // admitting the same mergeable key concurrently is the whole point.
     slot = flows_.GetOrCreateSlot(key);
     flows_.set_status(slot, FlowStatus::kActive);
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kFlowAdmitted, net::HashPartitionKey(key), 0,
-                 static_cast<std::uint64_t>(mode_));
+    if (trace_.armed()) {
+      trace_.Emit(obs::Ev::kFlowAdmitted, net::HashPartitionKey(key), 0, 0.0,
+                  0, static_cast<std::uint64_t>(mode_));
     }
   }
   AppContext actx;
@@ -373,12 +369,12 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
       merge_dirty_.emplace_back(slot, flows_.gen(slot));
     }
     EnsureMergeTick();
-  } else if (atap_.armed() && !result.outputs.empty()) {
+  } else if (trace_.armed() && !result.outputs.empty()) {
     // A locally served read with no staleness contract (aux 0): legal at
-    // any staleness in this mode, and tapped so the mode-aware monitors
+    // any staleness in this mode, and reported so the mode-aware monitors
     // can prove they know that.
-    atap_.Emit(audit::Tap::kLocalReadServed, net::HashPartitionKey(key),
-               flows_.cur_seq(slot), 0, 0.0);
+    trace_.Emit(obs::Ev::kLocalReadServed, net::HashPartitionKey(key),
+                flows_.cur_seq(slot));
   }
   // Zero-RTT writes: every output releases immediately; durability comes
   // from the periodic idempotent merge push, not from an ack.
@@ -421,10 +417,6 @@ void RedPlaneSwitch::MergeTick(std::uint64_t epoch) {
                     static_cast<SimDuration>(config_.max_retransmissions) *
                         config_.request_timeout);
     m_.merge_deltas_sent.Add();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kMergeEmitted, net::HashPartitionKey(cold.key),
-                 seq, 0, policy_->Measure(cold.state));
-    }
     if (trace_.armed()) {
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(cold.key),
                   seq, static_cast<double>(delta.state.size()), delta.span_id);
@@ -475,10 +467,6 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
         trace_.Emit(migrate ? obs::Ev::kFailoverRehome : obs::Ev::kLeaseGrant,
                     net::HashPartitionKey(key), seq, 0.0, span);
       }
-      if (atap_.armed()) {
-        atap_.Emit(audit::Tap::kLeaseGranted, net::HashPartitionKey(key), seq,
-                   migrate ? 1 : 0);
-      }
       const SimTime init_sent = flows_.cold(slot).init_sent_at;
       const SimTime sent_at = init_sent != 0 ? init_sent : ctx.Now();
       flows_.cold(slot).init_sent_at = 0;
@@ -501,18 +489,18 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
                                        config_.mutation_lease_extension);
         flows_.set_status(s, FlowStatus::kActive);
         flows_.cold(s).init_loops = 0;
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseAcquired, net::HashPartitionKey(key),
-                     seq,
-                     static_cast<std::uint64_t>(flows_.lease_expiry(s)));
+        if (trace_.armed()) {
+          trace_.Emit(obs::Ev::kLeaseAcquired, net::HashPartitionKey(key), seq,
+                      0.0, 0,
+                      static_cast<std::uint64_t>(flows_.lease_expiry(s)));
         }
         if (mode_ == ConsistencyMode::kReplicatedRead) {
           // Announce the weaker mode to the mode-aware monitors and
           // subscribe this switch to the store's replica pushes.  (Single-
           // owner flows announce nothing: their path stays bit-identical.)
-          if (atap_.armed()) {
-            atap_.Emit(audit::Tap::kFlowAdmitted, net::HashPartitionKey(key),
-                       0, static_cast<std::uint64_t>(mode_));
+          if (trace_.armed()) {
+            trace_.Emit(obs::Ev::kFlowAdmitted, net::HashPartitionKey(key), 0,
+                        0.0, 0, static_cast<std::uint64_t>(mode_));
           }
           FlowTable::Cold& cold = flows_.cold(s);
           if (!cold.replica_subscribed) {
@@ -556,19 +544,16 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
         }
         flows_.NoteAck(slot, seq,
                        config_.lease_period + config_.mutation_lease_extension);
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseAcquired, net::HashPartitionKey(key),
-                     seq,
-                     static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
+        if (trace_.armed()) {
+          trace_.Emit(obs::Ev::kLeaseAcquired, net::HashPartitionKey(key), seq,
+                      0.0, 0,
+                      static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
         }
       }
       node_.mirror().Acknowledge(key, seq, cancel_retx);
       if (trace_.armed()) {
         trace_.Emit(obs::Ev::kAckReleased, net::HashPartitionKey(key), seq,
                     0.0, span);
-      }
-      if (atap_.armed()) {
-        atap_.Emit(audit::Tap::kAckReleased, net::HashPartitionKey(key), seq);
       }
       if (msg.has_piggyback()) {
         if (auto piggy = msg.PiggybackPacket()) {
@@ -638,10 +623,6 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           trace_.Emit(obs::Ev::kAckReleased, net::HashPartitionKey(key), seq,
                       0.0, span);
         }
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kAckReleased, net::HashPartitionKey(key),
-                     seq);
-        }
         ReleaseOutput(ctx, key, std::move(*piggy));
       }
       return;
@@ -661,10 +642,10 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
                            cold.renew_sent_at + config_.lease_period +
                                config_.mutation_lease_extension));
         cold.renew_sent_at = 0;
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseAcquired, net::HashPartitionKey(key),
-                     seq,
-                     static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
+        if (trace_.armed()) {
+          trace_.Emit(obs::Ev::kLeaseAcquired, net::HashPartitionKey(key), seq,
+                      0.0, 0,
+                      static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
         }
       }
       return;
@@ -678,8 +659,8 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
                     span);
       }
       if (slot != FlowTable::kNilSlot) {
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseReleased, net::HashPartitionKey(key));
+        if (trace_.armed()) {
+          trace_.Emit(obs::Ev::kLeaseReleased, net::HashPartitionKey(key));
         }
         CancelRenewTimer(slot);
       }
@@ -904,8 +885,8 @@ void RedPlaneSwitch::GiveUpMirror(dp::MirrorTable::Handle h) {
     const std::uint32_t slot = flows_.FindSlot(key);
     if (slot != FlowTable::kNilSlot &&
         flows_.status(slot) == FlowStatus::kInitPending) {
-      if (atap_.armed()) {
-        atap_.Emit(audit::Tap::kLeaseReleased, net::HashPartitionKey(key));
+      if (trace_.armed()) {
+        trace_.Emit(obs::Ev::kLeaseReleased, net::HashPartitionKey(key));
       }
       CancelRenewTimer(slot);
       flows_.Erase(key);
@@ -960,10 +941,10 @@ void RedPlaneSwitch::StartSnapshotReplication(Snapshottable& snap) {
   epsilon_->SetObserver([this](const net::PartitionKey& key,
                                SimDuration staleness, SimTime /*now*/) {
     m_.epsilon_staleness_us.Record(ToMicroseconds(staleness));
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kEpsilonSample, net::HashPartitionKey(key), 0,
-                 static_cast<std::uint64_t>(config_.epsilon_bound),
-                 static_cast<double>(staleness));
+    if (trace_.armed()) {
+      trace_.Emit(obs::Ev::kEpsilonSample, net::HashPartitionKey(key), 0,
+                  static_cast<double>(staleness), 0,
+                  static_cast<std::uint64_t>(config_.epsilon_bound));
     }
   });
   // One batch per T_snap; packet i addresses slot i (§5.4).  Generated
@@ -1027,8 +1008,8 @@ void RedPlaneSwitch::ReleaseOutput(dp::SwitchContext& ctx,
   // paper's Fig. 10 methodology), so the released output counts as original
   // traffic alongside its arrival.
   m_.orig_bytes.Add(static_cast<double>(pkt.WireSize()));
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kOutputServed, net::HashPartitionKey(key));
+  if (trace_.armed()) {
+    trace_.Emit(obs::Ev::kOutputServed, net::HashPartitionKey(key));
   }
   node_.ForwardPacket(std::move(pkt), kInvalidPort);
 }
@@ -1054,10 +1035,8 @@ void RedPlaneSwitch::DumpLeaseTable(std::ostream& os) const {
 
 void RedPlaneSwitch::Reset() {
   ++epoch_;
-  if (atap_.armed()) {
-    // key 0 = "this component dropped every lease" (SRAM lost on failure).
-    atap_.Emit(audit::Tap::kLeaseReleased, 0);
-  }
+  // flow 0 = "this component dropped every lease" (SRAM lost on failure).
+  trace_.Emit(obs::Ev::kLeaseReleased);
   // Cancel every per-entry timer before the tables forget the entries; the
   // epoch bump alone would keep the events pending (and their payload slots
   // pinned) until they fire as no-ops.

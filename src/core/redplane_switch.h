@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "audit/diag.h"
-#include "audit/taps.h"
 #include "core/app.h"
 #include "core/epsilon.h"
 #include "core/flow_table.h"
@@ -202,7 +201,7 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   void SnapshotBurstSlot(std::uint32_t index);
 
   /// Releases an output packet toward its destination.  `key` identifies
-  /// the flow the output belongs to, for the kOutputServed recovery tap
+  /// the flow the output belongs to, for the kOutputServed recovery event
   /// (per-flow downtime is measured between served outputs).
   void ReleaseOutput(dp::SwitchContext& ctx, const net::PartitionKey& key,
                      net::Packet pkt);
@@ -225,7 +224,6 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   FlowTable flows_;
   obs::MetricRegistry stats_;
   obs::TraceHandle trace_;
-  audit::TapHandle atap_;
   audit::DiagToken diag_;
 
   /// Typed handles into stats_ for every hot-path counter (registered once

@@ -1,17 +1,18 @@
-// Event taxonomy for the per-packet lifecycle tracer.
+// The one event vocabulary every component publishes on.
 //
-// Every trace record carries one of these event kinds.  The taxonomy follows
-// the RedPlane protocol lifecycle: a packet enters the fabric (kIngress),
-// misses or hits its lease at a switch (kLeaseMiss / kLeaseGrant), gets its
-// write replicated to the state store (kReplicationSent -> kStoreRecv ->
+// Each kind is one protocol or infrastructure fact, emitted once at the
+// place it happens (see DESIGN.md §7 for the full table).  The lifecycle
+// kinds follow a packet through the fabric: it enters (kIngress), misses or
+// hits its lease at a switch (kLeaseMiss / kLeaseGrant), gets its write
+// replicated to the state store (kReplicationSent -> kStoreRecv ->
 // kStoreServiceStart -> kStoreApplied -> kStoreResponded -> kAckReleased),
-// splitting queue wait from service time at the store, may loop through the
-// network-buffering read path (kBufferedRead / kBufferedReadLoop), may be
-// retransmitted from the mirror buffer (kMirrored / kRetransmit), and on
-// switch failure re-homes its flow state at a standby (kFailoverRehome).
-// Infrastructure events (link drops, node failure/recovery, reroutes,
-// control-plane installs) interleave with the packet lifecycle so a trace
-// explains *why* a tail sample is slow.
+// may loop through the network-buffering read path (kBufferedRead /
+// kBufferedReadLoop), may be retransmitted from the mirror buffer
+// (kMirrored / kRetransmit), and on switch failure re-homes its flow state
+// at a standby (kFailoverRehome).  The remaining kinds are the claims the
+// auditor checks (lease beliefs, commit evidence, staleness samples) and
+// the environment facts the recovery tracker and causal slices need (node
+// and link transitions, reroutes, gray faults).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +26,9 @@ enum class Ev : std::uint8_t {
   kLinkDrop,          // link dropped a packet (down / loss / stale epoch)
   kLinkDown,          // link transitioned to down
   kLinkUp,            // link transitioned to up
-  kNodeFailure,       // node fail-stop
-  kNodeRecovery,      // node came back up
+  kNodeFailure,       // node fail-stop (a store replica loses its DRAM
+                      //   records); aux = node id
+  kNodeRecovery,      // node came back up; aux = node id
   // --- routing layer ---
   kReroute,           // fabric recomputed routes after a topology change
   // --- dataplane layer ---
@@ -37,13 +39,14 @@ enum class Ev : std::uint8_t {
   kCpInstalled,       // control-plane table install completed
   kPktgenBatch,       // packet generator emitted a batch
   // --- protocol state machine (switch side) ---
-  kLeaseMiss,         // packet arrived for a key with no active lease
+  kLeaseMiss,         // no active lease: lease Init request sent
   kLeaseGrant,        // lease granted for a fresh (unowned) key
   kFailoverRehome,    // lease migrated: flow re-homed after a failure
-  kReplicationSent,   // write replication request sent to the store
+  kReplicationSent,   // write replication (or merge delta) sent to the store
   kRenewSent,         // periodic lease renewal sent
   kRenewAck,          // lease renewal acknowledged
-  kBufferedRead,      // read-intensive packet sent into the network buffer
+  kBufferedRead,      // read-intensive packet sent into the network buffer;
+                      //   aux = span of the write it waits on
   kBufferedReadLoop,  // buffered read looped back, still waiting for lease
   kRetransmit,        // mirror-buffered request retransmitted
   kRetxGiveUp,        // retransmission abandoned after the give-up horizon
@@ -51,6 +54,14 @@ enum class Ev : std::uint8_t {
   kLeaseDenied,       // store denied the lease (capacity / ownership)
   kSnapshotSent,      // bounded-inconsistency snapshot slot sent
   kOutputDropped,     // held output dropped (reset / failure)
+  kLeaseAcquired,     // lease installed or extended; aux = believed expiry
+  kLeaseReleased,     // lease dropped (deny / give-up / reset); flow 0 = all
+  kOutputServed,      // an output packet was released toward its destination
+  kEpsilonSample,     // observed staleness; arg = ns, aux = configured ε ns
+  kFlowAdmitted,      // flow admitted under a non-default mode;
+                      //   aux = ConsistencyMode
+  kLocalReadServed,   // read answered from local state; arg = staleness ns,
+                      //   aux = declared bound ns (0: no bound applies)
   // --- state store ---
   kStoreRecv,         // protocol request received by a store replica
   kStoreServiceStart, // request left the service queue; CPU work begins
@@ -59,15 +70,29 @@ enum class Ev : std::uint8_t {
   kStoreReadParked,   // buffered read parked behind in-flight writes
   kStoreDenied,       // store rejected a request (stale / misdirected)
   kStoreResponded,    // store sent its response/ack
+  kDupAckDurable,     // stale write filtered; its ack confirms seq durable
+                      //   (aux = the filtered write's seq)
+  kTailCommit,        // tail answered a decided write: committed chain-wide
+  kMergeApplied,      // store joined a merge delta (the apply step of a
+                      //   mergeable flow); arg = merged measure
+  kReplicaPushed,     // store pushed state to a read replica; aux = its IP
   // --- replication batching (DESIGN.md §10) ---
   kBatchFlushed,      // coalescer flushed a batch envelope toward a shard
   kStoreBatchRecv,    // store received a batch envelope (per-sub events follow)
+  // --- chain manager ---
+  kChainReconfig,     // chain membership changed; aux = new chain length
+  kResyncCommit,      // resync import re-established seq as durable
+  // --- gray failures (fuzz campaign, DESIGN.md §15) ---
+  kGrayFault,         // gray failure injected; aux = sending node, arg = rate
+  kGrayCleared,       // the matching gray failure cleared; aux = node
+  // --- auditor ---
+  kHistoryClosed,     // a per-flow history failed its linearizability check
 };
 
 /// Stable display name for an event kind (used in trace exports).
 const char* EvName(Ev ev);
 
 /// Total number of event kinds (for tables indexed by Ev).
-inline constexpr int kNumEvents = static_cast<int>(Ev::kStoreBatchRecv) + 1;
+inline constexpr int kNumEvents = static_cast<int>(Ev::kHistoryClosed) + 1;
 
 }  // namespace redplane::obs

@@ -11,6 +11,11 @@ namespace redplane::obs {
 namespace internal {
 Profiler* g_profiler = nullptr;
 Profiler* g_armed = nullptr;
+
+std::uint64_t NextGeneration() {
+  static std::uint64_t next = 0;
+  return ++next;
+}
 }  // namespace internal
 
 Profiler* SetGlobalProfiler(Profiler* profiler) {
@@ -28,10 +33,12 @@ void Profiler::SetEnabled(bool enabled) {
   }
 }
 
-Profiler::Profiler() { site_names_.emplace_back("?"); }
+Profiler::Profiler() : generation_(internal::NextGeneration()) {
+  site_names_.emplace_back("?");
+}
 
 std::uint16_t Profiler::InternSite(ProfSite& site) {
-  if (site.cached_profiler == this && site.cached_generation == generation_) {
+  if (site.cached_generation == generation_) {
     return site.id;
   }
   // Sites are few (one per instrumented region); a linear scan on the first
@@ -47,7 +54,6 @@ std::uint16_t Profiler::InternSite(ProfSite& site) {
     site_names_.emplace_back(site.name);
     id = static_cast<std::uint16_t>(site_names_.size() - 1);
   }
-  site.cached_profiler = this;
   site.cached_generation = generation_;
   site.id = id;
   return id;
@@ -199,7 +205,7 @@ void Profiler::Reset() {
   site_names_.clear();
   site_names_.emplace_back("?");
   current_ = -1;
-  ++generation_;
+  generation_ = internal::NextGeneration();
 }
 
 }  // namespace redplane::obs

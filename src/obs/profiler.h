@@ -7,7 +7,7 @@
 // structure a flamegraph renders.  Self time is derived at export: a node's
 // total minus its children's totals.
 //
-// Cost discipline (mirrors TraceHandle / TapHandle, DESIGN.md §7/§9):
+// Cost discipline (mirrors TraceHandle, DESIGN.md §7):
 //  * disarmed (no profiler installed, or disabled): one global load and a
 //    predictable branch per scope — cheap enough to leave compiled into
 //    every hot path, including per-packet ones;
@@ -44,6 +44,10 @@ extern Profiler* g_profiler;
 /// ProfScope fast path tests only this pointer, so arming state costs one
 /// load instead of a dependent profiler->enabled_ chase.
 extern Profiler* g_armed;
+/// Next value of the process-wide generation counter shared by Profiler and
+/// Tracer.  Cached interned ids are keyed by generation alone, so a new
+/// instance at a dead one's address never revalidates a stale cache.
+std::uint64_t NextGeneration();
 }  // namespace internal
 
 /// One instrumented region.  Declare one per region, at namespace scope or
@@ -65,7 +69,6 @@ struct ProfSite {
   /// Interned site id, revalidated against the installed profiler's
   /// generation (same discipline as TraceHandle's cached component id).
   std::uint16_t id = 0;
-  Profiler* cached_profiler = nullptr;
   std::uint64_t cached_generation = 0;
 };
 
@@ -94,7 +97,7 @@ class Profiler {
   void SetEnabled(bool enabled);
   bool enabled() const { return enabled_; }
 
-  /// Bumps whenever sites are dropped; ProfSites revalidate against this.
+  /// Changes whenever sites are dropped; ProfSites revalidate against this.
   std::uint64_t generation() const { return generation_; }
 
   static std::uint64_t NowNs() {
@@ -130,7 +133,7 @@ class Profiler {
   void WriteJson(std::ostream& os) const;
   std::string Json() const;
 
-  /// Drops all nodes and interned sites (bumps generation).
+  /// Drops all nodes and interned sites (draws a new generation).
   void Reset();
 
  private:
@@ -138,7 +141,7 @@ class Profiler {
   std::int32_t ChildNode(std::int32_t parent, std::uint16_t site);
 
   bool enabled_ = false;
-  std::uint64_t generation_ = 1;
+  std::uint64_t generation_;
   std::vector<std::string> site_names_;
   std::vector<ProfNode> nodes_;
   /// Current call-path position; -1 = at the (virtual) root.

@@ -32,48 +32,49 @@ bool PhaseSumOk(const RecoveryEpisode& episode) {
   return sum == episode.Downtime();
 }
 
-void RecoveryTracker::OnTapEvent(const audit::TapEvent& ev) {
-  switch (ev.tap) {
-    case audit::Tap::kNodeDown:
+void RecoveryTracker::OnEvent(const TraceRecord& ev) {
+  switch (ev.ev) {
+    case Ev::kNodeFailure:
       if (open_) {
         ++current_.extra_faults;
       } else {
         OpenEpisode(ev, "node_down");
       }
       return;
-    case audit::Tap::kLinkCut:
+    case Ev::kLinkDown:
       if (open_) {
         ++current_.extra_faults;
       } else {
         OpenEpisode(ev, "link_cut");
       }
       return;
-    case audit::Tap::kRouteReconverged:
+    case Ev::kReroute:
       if (open_ && current_.phase_end[0] == 0) {
         MarkPhase(RecoveryPhase::kFailureDetection, ev.t);
       }
       return;
-    case audit::Tap::kLeaseRequested:
+    case Ev::kLeaseMiss:
       if (open_ && current_.phase_end[1] == 0) {
         MarkPhase(RecoveryPhase::kRouteReconvergence, ev.t);
       }
       return;
-    case audit::Tap::kLeaseGranted:
+    case Ev::kLeaseGrant:
+    case Ev::kFailoverRehome:
       if (open_ && current_.phase_end[2] == 0) {
         MarkPhase(RecoveryPhase::kLeaseReacquisition, ev.t);
       }
       return;
-    case audit::Tap::kLeaseAcquired:
+    case Ev::kLeaseAcquired:
       if (open_ && current_.phase_end[3] == 0) {
         MarkPhase(RecoveryPhase::kStateInstall, ev.t);
       }
       return;
-    case audit::Tap::kOutputServed: {
+    case Ev::kOutputServed: {
       if (open_ && ev.t >= current_.fault_at) {
         if (first_served_after_fault_ == 0) first_served_after_fault_ = ev.t;
         // Per-flow downtime: first post-fault service of a flow that was
         // served before the fault.
-        const auto it = served_before_fault_.find(ev.key);
+        const auto it = served_before_fault_.find(ev.flow);
         if (it != served_before_fault_.end()) {
           current_.flow_downtime_us.Add(
               static_cast<double>(ev.t - current_.fault_at) / 1e3);
@@ -85,7 +86,7 @@ void RecoveryTracker::OnTapEvent(const audit::TapEvent& ev) {
           CloseEpisode();
         }
       }
-      last_served_[ev.key] = ev.t;
+      last_served_[ev.flow] = ev.t;
       return;
     }
     default:
@@ -93,7 +94,7 @@ void RecoveryTracker::OnTapEvent(const audit::TapEvent& ev) {
   }
 }
 
-void RecoveryTracker::OpenEpisode(const audit::TapEvent& ev,
+void RecoveryTracker::OpenEpisode(const TraceRecord& ev,
                                   const char* trigger) {
   open_ = true;
   current_ = RecoveryEpisode{};
@@ -105,12 +106,12 @@ void RecoveryTracker::OpenEpisode(const audit::TapEvent& ev,
   served_before_fault_ = last_served_;
   snapshot_has_records_ = false;
   snapshot_last_order_ = 0;
-  if (tracer_ != nullptr) {
+  if (stream() != nullptr) {
     // Flight-recorder rescue: copy the ring *now*, while the pre-fault
     // context is still in it; a long campaign would otherwise evict these
     // records before the episode closes.
-    current_.trace = tracer_->Records();
-    current_.evicted_at_open = tracer_->evicted();
+    current_.trace = stream()->Records();
+    current_.evicted_at_open = stream()->evicted();
     if (!current_.trace.empty()) {
       snapshot_last_order_ = current_.trace.back().order;
       snapshot_has_records_ = true;
@@ -128,18 +129,18 @@ void RecoveryTracker::MarkPhase(RecoveryPhase phase, SimTime t) {
 }
 
 void RecoveryTracker::CloseEpisode() {
-  // Clamp endpoints non-decreasing (defensive: tap timestamps are already
+  // Clamp endpoints non-decreasing (defensive: event timestamps are already
   // monotone within a single-threaded run).
   SimTime prev = current_.fault_at;
   for (int i = 0; i < kNumRecoveryPhases; ++i) {
     current_.phase_end[i] = std::max(current_.phase_end[i], prev);
     prev = current_.phase_end[i];
   }
-  if (tracer_ != nullptr) {
-    current_.evicted_at_close = tracer_->evicted();
+  if (stream() != nullptr) {
+    current_.evicted_at_close = stream()->evicted();
     // Merge in what the ring accumulated during the episode: records newer
     // than the open-time snapshot.
-    for (const TraceRecord& r : tracer_->Records()) {
+    for (const TraceRecord& r : stream()->Records()) {
       if (!snapshot_has_records_ || r.order > snapshot_last_order_) {
         current_.trace.push_back(r);
       }

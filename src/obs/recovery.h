@@ -2,16 +2,16 @@
 //
 // RedPlane's headline number is not steady-state latency but the ~1 s
 // end-to-end disruption after a failure — failure-detection delay plus the
-// lease period (Fig. 14, Table 1).  This engine turns the audit tap stream
-// into that number, decomposed: it watches the raw protocol facts the
-// auditor publishes (audit/taps.h) and, on an injected fault
-// (kNodeDown / kLinkCut), opens a *recovery episode* that it closes into
-// five causally ordered phases:
+// lease period (Fig. 14, Table 1).  This engine turns the event stream into
+// that number, decomposed: subscribed to a tracer (obs/tracer.h), it opens a
+// *recovery episode* on a fault (kNodeFailure / kLinkDown) and closes it
+// into five causally ordered phases:
 //
-//   t0 ──────── fault injected            (kNodeDown / kLinkCut)
-//   t0..t1      failure_detection         ends at kRouteReconverged
-//   t1..t2      route_reconvergence       ends at kLeaseRequested
-//   t2..t3      lease_reacquisition       ends at kLeaseGranted
+//   t0 ──────── fault injected            (kNodeFailure / kLinkDown)
+//   t0..t1      failure_detection         ends at kReroute
+//   t1..t2      route_reconvergence       ends at kLeaseMiss
+//   t2..t3      lease_reacquisition       ends at kLeaseGrant /
+//                                                 kFailoverRehome
 //   t3..t4      state_install             ends at kLeaseAcquired
 //   t4..t5      first_packet_served       ends at kOutputServed
 //
@@ -27,15 +27,10 @@
 // A flow served before t0 and again at t > t0 contributes the sample
 // (t − t0) to the episode's downtime distribution (p50/p99/max).
 //
-// Flight-recorder snapshot: on episode open the tracker copies the tracer
-// ring (the pre-fault context) so long campaigns cannot evict the records
-// that explain the episode; the close merges in what the ring accumulated
-// during the episode.
-//
-// This file deliberately depends only on the audit *header* (the Tap enum
-// and the TapEvent POD): obs does not link the audit library.  Producers
-// wire the stream with Auditor::SetTapObserver at sites that link both
-// (tools/campaign, the benches).
+// Flight-recorder snapshot: on episode open the tracker copies the ring of
+// the tracer it is subscribed to (the pre-fault context) so long campaigns
+// cannot evict the records that explain the episode; the close merges in
+// what the ring accumulated during the episode.
 #pragma once
 
 #include <array>
@@ -45,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/taps.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "obs/tracer.h"
@@ -70,7 +64,7 @@ struct RecoveryEpisode {
   std::uint64_t id = 0;       // 1-based, in detection order
   SimTime fault_at = 0;       // t0: the injected fault's timestamp
   std::string trigger;        // "node_down" or "link_cut"
-  std::uint64_t fault_aux = 0;  // tap aux (node id for kNodeDown)
+  std::uint64_t fault_aux = 0;  // fault event aux (node id for node_down)
   /// End timestamp of each phase (t1..t5); 0 while unreached.  After the
   /// episode closes, every endpoint is set and non-decreasing; a skipped
   /// phase collapses to zero width (its endpoint equals its predecessor's).
@@ -89,8 +83,7 @@ struct RecoveryEpisode {
   SampleSet flow_downtime_us;
 
   /// Flight-recorder snapshot: the tracer ring at episode open merged with
-  /// the records accrued until close, in emission order.  Empty when no
-  /// tracer was attached.
+  /// the records accrued until close, in emission order.
   std::vector<TraceRecord> trace;
   std::uint64_t evicted_at_open = 0;
   std::uint64_t evicted_at_close = 0;
@@ -113,22 +106,14 @@ struct RecoveryEpisode {
 /// episodes.
 bool PhaseSumOk(const RecoveryEpisode& episode);
 
-/// Consumes the audit tap stream and detects recovery episodes.
+/// Consumes the event stream and detects recovery episodes.
 ///
-/// Wire with:
-///   auditor.SetTapObserver([&t](const audit::TapEvent& ev) {
-///     t.OnTapEvent(ev);
-///   });
-/// and call Finalize(sim.Now()) after the run drains so an episode whose
-/// t5 marker was missed (no lease re-acquisition) still closes from the
-/// first post-fault service event.
-class RecoveryTracker {
+/// Wire with `tracer.Subscribe(tracker)` and call Finalize(sim.Now()) after
+/// the run drains so an episode whose t5 marker was missed (no lease
+/// re-acquisition) still closes from the first post-fault service event.
+class RecoveryTracker : public Subscriber {
  public:
-  /// `tracer` (optional) is snapshotted on episode open/close.
-  explicit RecoveryTracker(const Tracer* tracer = nullptr)
-      : tracer_(tracer) {}
-
-  void OnTapEvent(const audit::TapEvent& ev);
+  void OnEvent(const TraceRecord& ev) override;
 
   /// Closes a still-open episode from the recorded post-fault service
   /// times (skipped phases collapse to zero width).  An episode with no
@@ -156,13 +141,12 @@ class RecoveryTracker {
   void PrintTimeline(std::ostream& os) const;
 
  private:
-  void OpenEpisode(const audit::TapEvent& ev, const char* trigger);
+  void OpenEpisode(const TraceRecord& ev, const char* trigger);
   /// Sets phase endpoint `phase` to `t` if unset, back-filling any unset
   /// earlier endpoints (skipped phases collapse to zero width).
   void MarkPhase(RecoveryPhase phase, SimTime t);
   void CloseEpisode();
 
-  const Tracer* tracer_ = nullptr;
   std::vector<RecoveryEpisode> episodes_;
   bool open_ = false;
   RecoveryEpisode current_;

@@ -16,6 +16,8 @@ namespace {
 // to "begin->end" so novel interleavings stay visible instead of vanishing
 // into a catch-all bucket.
 const char* SegmentKind(Ev begin, Ev end) {
+  begin = PairingKind(begin);
+  end = PairingKind(end);
   if (begin == Ev::kReplicationSent && end == Ev::kStoreRecv)
     return "switch_to_store";
   if (begin == Ev::kRenewSent && end == Ev::kStoreRecv)
@@ -88,7 +90,7 @@ std::vector<SpanTree> BuildSpanTrees(std::span<const TraceRecord> records,
     span.begin = recs.front().t;
     span.end = recs.back().t;
     for (const TraceRecord& r : recs) {
-      if (r.parent_span != 0) span.parent_span = r.parent_span;
+      if (ParentSpan(r) != 0) span.parent_span = ParentSpan(r);
       if (r.seq != 0) span.seq = r.seq;
     }
     span.segments.reserve(recs.size() > 0 ? recs.size() - 1 : 0);

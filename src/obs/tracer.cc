@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "obs/json.h"
+#include "obs/profiler.h"
 
 namespace redplane::obs {
 
@@ -42,6 +43,12 @@ const char* EvName(Ev ev) {
     case Ev::kLeaseDenied: return "lease_denied";
     case Ev::kSnapshotSent: return "snapshot_sent";
     case Ev::kOutputDropped: return "output_dropped";
+    case Ev::kLeaseAcquired: return "lease_acquired";
+    case Ev::kLeaseReleased: return "lease_released";
+    case Ev::kOutputServed: return "output_served";
+    case Ev::kEpsilonSample: return "epsilon_sample";
+    case Ev::kFlowAdmitted: return "flow_admitted";
+    case Ev::kLocalReadServed: return "local_read_served";
     case Ev::kStoreRecv: return "store_recv";
     case Ev::kStoreServiceStart: return "store_service_start";
     case Ev::kStoreApplied: return "store_applied";
@@ -49,20 +56,35 @@ const char* EvName(Ev ev) {
     case Ev::kStoreReadParked: return "store_read_parked";
     case Ev::kStoreDenied: return "store_denied";
     case Ev::kStoreResponded: return "store_responded";
+    case Ev::kDupAckDurable: return "dup_ack_durable";
+    case Ev::kTailCommit: return "tail_commit";
+    case Ev::kMergeApplied: return "merge_applied";
+    case Ev::kReplicaPushed: return "replica_pushed";
     case Ev::kBatchFlushed: return "batch_flushed";
     case Ev::kStoreBatchRecv: return "store_batch_recv";
+    case Ev::kChainReconfig: return "chain_reconfig";
+    case Ev::kResyncCommit: return "resync_commit";
+    case Ev::kGrayFault: return "gray_fault";
+    case Ev::kGrayCleared: return "gray_cleared";
+    case Ev::kHistoryClosed: return "history_closed";
   }
   return "?";
 }
 
 namespace internal {
 Tracer* g_tracer = nullptr;
+bool g_stream_armed = false;
 }  // namespace internal
 
 Tracer* SetGlobalTracer(Tracer* tracer) {
   Tracer* prev = internal::g_tracer;
   internal::g_tracer = tracer;
+  internal::g_stream_armed = tracer != nullptr && tracer->enabled();
   return prev;
+}
+
+Subscriber::~Subscriber() {
+  if (stream_ != nullptr) stream_->Unsubscribe(*this);
 }
 
 bool TraceFilter::Matches(const TraceRecord& r, const Tracer& tracer) const {
@@ -73,7 +95,8 @@ bool TraceFilter::Matches(const TraceRecord& r, const Tracer& tracer) const {
   return true;
 }
 
-Tracer::Tracer(std::size_t capacity) : metrics_("tracer") {
+Tracer::Tracer(std::size_t capacity)
+    : generation_(internal::NextGeneration()), metrics_("tracer") {
   if (capacity == 0) capacity = 1;
   ring_.resize(capacity);
   components_.emplace_back("?");  // id 0 = unknown
@@ -86,6 +109,30 @@ Tracer::Tracer(std::size_t capacity) : metrics_("tracer") {
   });
   metrics_.AddCallbackGauge("live_records",
                             [this] { return static_cast<double>(count_); });
+}
+
+Tracer::~Tracer() {
+  for (Subscriber* s : subscribers_) s->stream_ = nullptr;
+  if (internal::g_tracer == this) SetGlobalTracer(nullptr);
+}
+
+void Tracer::SetEnabled(bool enabled) {
+  enabled_ = enabled;
+  if (internal::g_tracer == this) internal::g_stream_armed = enabled;
+}
+
+void Tracer::Subscribe(Subscriber& s) {
+  if (s.stream_ == this) return;
+  if (s.stream_ != nullptr) s.stream_->Unsubscribe(s);
+  s.stream_ = this;
+  subscribers_.push_back(&s);
+}
+
+void Tracer::Unsubscribe(Subscriber& s) {
+  if (s.stream_ != this) return;
+  s.stream_ = nullptr;
+  subscribers_.erase(
+      std::find(subscribers_.begin(), subscribers_.end(), &s));
 }
 
 std::uint16_t Tracer::Intern(std::string_view name) {
@@ -104,27 +151,32 @@ const std::string& Tracer::ComponentName(std::uint16_t id) const {
 
 void Tracer::Emit(std::uint16_t component, Ev ev, std::uint64_t flow,
                   std::uint64_t seq, double arg, std::uint64_t span,
-                  std::uint64_t parent_span) {
+                  std::uint64_t aux) {
   if (!enabled_) return;
-  if (flow_filter_ != 0 && flow != 0 && flow != flow_filter_) return;
-  TraceRecord rec;
-  rec.t = NowOrZero();
-  rec.order = next_order_++;
-  rec.ev = ev;
-  rec.component = component;
-  rec.flow = flow;
-  rec.seq = seq;
-  rec.arg = arg;
-  rec.span = span;
-  rec.parent_span = parent_span;
-  if (count_ < ring_.size()) {
-    ring_[(head_ + count_) % ring_.size()] = rec;
-    ++count_;
-  } else {
-    ring_[head_] = rec;
-    head_ = (head_ + 1) % ring_.size();
-    ++evicted_;
+  // The record is built in its ring slot (or, when the flow filter keeps it
+  // out of the ring, on the stack) and subscribers read it from there.
+  TraceRecord unrecorded;
+  TraceRecord* rec = &unrecorded;
+  if (flow_filter_ == 0 || flow == 0 || flow == flow_filter_) {
+    if (count_ < ring_.size()) {
+      rec = &ring_[(head_ + count_) % ring_.size()];
+      ++count_;
+    } else {
+      rec = &ring_[head_];
+      head_ = (head_ + 1) % ring_.size();
+      ++evicted_;
+    }
   }
+  *rec = TraceRecord{.t = NowOrZero(),
+                     .order = next_order_++,
+                     .ev = ev,
+                     .component = component,
+                     .flow = flow,
+                     .seq = seq,
+                     .arg = arg,
+                     .span = span,
+                     .aux = aux};
+  for (Subscriber* s : subscribers_) s->OnEvent(*rec);
 }
 
 std::vector<TraceRecord> Tracer::Records(const TraceFilter& filter) const {
@@ -148,7 +200,7 @@ void Tracer::Reset() {
   Clear();
   components_.clear();
   components_.emplace_back("?");
-  ++generation_;
+  generation_ = internal::NextGeneration();
 }
 
 void WriteChromeTraceRecords(std::ostream& os,
@@ -180,8 +232,8 @@ void WriteChromeTraceRecords(std::ostream& os,
     if (r.span != 0) {
       os << ", \"span\": \"" << std::hex << r.span << std::dec << '"';
     }
-    if (r.parent_span != 0) {
-      os << ", \"parent_span\": \"" << std::hex << r.parent_span << std::dec
+    if (ParentSpan(r) != 0) {
+      os << ", \"parent_span\": \"" << std::hex << ParentSpan(r) << std::dec
          << '"';
     }
     if (r.orphan) os << ", \"orphan\": true";
@@ -252,6 +304,7 @@ void ReplayPhases(const std::vector<TraceRecord>& recs, PairFn&& on_pair,
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen[kNumPhases];
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const TraceRecord& r = recs[i];
+    const Ev kind = PairingKind(r.ev);
     bool is_end = false;
     bool matched = false;
     bool begin_seen = false;
@@ -259,12 +312,12 @@ void ReplayPhases(const std::vector<TraceRecord>& recs, PairFn&& on_pair,
       const PhaseDef& def = kPhases[p];
       const std::uint64_t seq_key = def.seq_matched ? r.seq : 0;
       const auto key = std::make_pair(r.flow, seq_key);
-      if (r.ev == def.begin) {
+      if (kind == def.begin) {
         // Keep the earliest unmatched begin for this key.
         open[p].emplace(key, r.t);
         seen[p].insert(key);
       }
-      if (r.ev == def.end) {
+      if (kind == def.end) {
         // A seq-0 record of an end-event kind is a control message (lease
         // acquire / renew) — those have no begin partner by design and are
         // never orphans.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "audit/taps.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "net/flow.h"
@@ -49,18 +48,10 @@ void RoutingFabric::NotifyTopologyChange() {
 void RoutingFabric::RecomputeNow() { Rebuild(); }
 
 void RoutingFabric::Rebuild() {
-  static obs::TraceHandle trace("fabric");
-  if (trace.armed()) {
-    trace.Emit(obs::Ev::kReroute, 0, 0,
-               static_cast<double>(network_.NumNodes()));
-  }
   // Recovery forensics: route re-convergence closes the failure-detection
   // phase of an episode (obs/recovery.h).
-  static audit::TapHandle atap("fabric");
-  if (atap.armed()) {
-    atap.Emit(audit::Tap::kRouteReconverged, 0, 0,
-              static_cast<std::uint64_t>(network_.NumNodes()));
-  }
+  static obs::TraceHandle trace("fabric");
+  trace.Emit(obs::Ev::kReroute, 0, 0, static_cast<double>(network_.NumNodes()));
   const std::size_t n = network_.NumNodes();
   routes_.assign(n, {});
 

@@ -18,7 +18,10 @@ Node::~Node() = default;
 
 void Node::SetUp(bool up) {
   if (up_ != up) {
-    trace_.Emit(up ? obs::Ev::kNodeRecovery : obs::Ev::kNodeFailure);
+    // The recovery tracker opens a failover episode on kNodeFailure, and
+    // reports the node id (aux) as the fault's target.
+    trace_.Emit(up ? obs::Ev::kNodeRecovery : obs::Ev::kNodeFailure, 0, 0, 0.0,
+                0, static_cast<std::uint64_t>(id_));
   }
   up_ = up;
 }

@@ -66,10 +66,8 @@ void ChainManager::Probe() {
     active_ = std::move(survivors);
     ++reconfigurations_;
     Rewire();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kChainReconfig, 0, reconfigurations_,
-                 active_.size());
-    }
+    trace_.Emit(obs::Ev::kChainReconfig, 0, reconfigurations_, 0.0, 0,
+                active_.size());
     // The splice moved the chain's commit point: by the prefix property,
     // everything the surviving tail has applied is also present on every
     // upstream survivor, so it became chain-wide durable the instant the
@@ -136,19 +134,17 @@ void ChainManager::Readmit(StateStoreServer* replica) {
     active_.push_back(replica);
     ++reconfigurations_;
     Rewire();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kChainReconfig, 0, reconfigurations_,
-                 active_.size());
-    }
+    trace_.Emit(obs::Ev::kChainReconfig, 0, reconfigurations_, 0.0, 0,
+                active_.size());
   });
 }
 
 void ChainManager::EmitResyncCommits(
     const std::unordered_map<net::PartitionKey, FlowRecord>& flows) {
-  if (!atap_.armed()) return;
+  if (!trace_.armed()) return;
   for (const auto& [key, rec] : flows) {
-    atap_.Emit(audit::Tap::kResyncCommit, net::HashPartitionKey(key),
-               rec.last_applied_seq);
+    trace_.Emit(obs::Ev::kResyncCommit, net::HashPartitionKey(key),
+                rec.last_applied_seq);
   }
 }
 

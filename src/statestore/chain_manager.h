@@ -22,6 +22,7 @@
 
 #include <vector>
 
+#include "obs/tracer.h"
 #include "sim/simulator.h"
 #include "statestore/server.h"
 
@@ -71,7 +72,7 @@ class ChainManager {
 
   sim::Simulator& sim_;
   ChainManagerConfig config_;
-  audit::TapHandle atap_{"chain_mgr"};
+  obs::TraceHandle trace_{"chain_mgr"};
   std::vector<StateStoreServer*> all_;
   std::vector<StateStoreServer*> active_;
   std::uint64_t reconfigurations_ = 0;

@@ -22,7 +22,6 @@ StateStoreServer::StateStoreServer(sim::Simulator& sim, NodeId id,
                                    std::string name, net::Ipv4Addr ip,
                                    StoreConfig config)
     : Node(sim, id, std::move(name)), ip_(ip), config_(config) {
-  atap_.SetName(this->name());
   auto& reg = counters();
   m_.non_protocol_drops = reg.RegisterCounter("non_protocol_drops");
   m_.malformed_drops = reg.RegisterCounter("malformed_drops");
@@ -171,11 +170,6 @@ void StateStoreServer::SetUp(bool up) {
     in_batch_ = false;
     busy_until_ = 0;
     m_.failures.Add();
-    if (atap_.armed()) {
-      // This replica's DRAM records are gone; audit baselines derived from
-      // them (sequence filter positions) must be forgotten too.
-      atap_.Emit(audit::Tap::kStoreReset, 0);
-    }
   }
 }
 
@@ -249,7 +243,7 @@ void StateStoreServer::ProcessBatchEnvelope(net::BufferView frame) {
                    msg->span_id());
     }
     // Each sub-message runs the regular handler, so seq filtering, lease
-    // checks, taps, and per-flow acks are exactly per-packet semantics.
+    // checks, events, and per-flow acks are exactly per-packet semantics.
     ProcessMsg(std::move(*msg));
   }
   in_batch_ = false;
@@ -388,13 +382,11 @@ void StateStoreServer::HandleRepl(MsgView msg) {
     // and release any piggybacked output (its effects are subsumed by the
     // newer durable state).  The piggyback bytes are echoed verbatim.
     m_.stale_writes.Add();
-    if (atap_.armed()) {
-      const std::uint64_t key_hash = net::HashPartitionKey(msg.key());
-      atap_.Emit(audit::Tap::kStoreFiltered, key_hash, msg.seq(),
-                 rec.last_applied_seq);
+    if (trace().armed()) {
       // The ack about to be sent acknowledges seq already durable
       // chain-wide — legal evidence for the chain-commit monitor.
-      atap_.Emit(audit::Tap::kDupAckDurable, key_hash, rec.last_applied_seq);
+      trace().Emit(obs::Ev::kDupAckDurable, net::HashPartitionKey(msg.key()),
+                   rec.last_applied_seq, 0.0, 0, msg.seq());
     }
     Msg ack;
     ack.type = MsgType::kAck;
@@ -512,9 +504,9 @@ void StateStoreServer::PushToSubscribers(const net::PartitionKey& key,
     push.mode = core::ConsistencyMode::kReplicatedRead;
     push.span_id = span;
     m_.replica_pushes_tx.Add();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kReplicaPushed, net::HashPartitionKey(key),
-                 rec.last_applied_seq, sub.value);
+    if (trace().armed()) {
+      trace().Emit(obs::Ev::kReplicaPushed, net::HashPartitionKey(key),
+                   rec.last_applied_seq, 0.0, 0, sub.value);
     }
     SendMsg(sub, push);
   }
@@ -540,7 +532,6 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       rec.exists = true;
       if (msg.seq() > rec.last_applied_seq ||
           config_.mutations.disable_seq_filter) {
-        const std::uint64_t prev_applied = rec.last_applied_seq;
         rec.state = msg.state().ToVector();
         rec.last_applied_seq = msg.seq();
         if (trace().armed()) {
@@ -548,11 +539,6 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
                        net::HashPartitionKey(msg.key()), msg.seq(),
                        static_cast<double>(msg.state().size()),
                        msg.span_id());
-        }
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kStoreApplied,
-                     net::HashPartitionKey(msg.key()), msg.seq(),
-                     prev_applied);
         }
         PushToSubscribers(msg.key(), rec, msg.reply_to(), msg.span_id());
       }
@@ -604,11 +590,6 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
         config_.merger(rec.state, msg.state().span());
       }
       if (trace().armed()) {
-        trace().Emit(obs::Ev::kStoreApplied, net::HashPartitionKey(msg.key()),
-                     msg.seq(), static_cast<double>(msg.state().size()),
-                     msg.span_id());
-      }
-      if (atap_.armed()) {
         // The measure is computed from the *post-merge* stored state: a
         // correct join can only move up the lattice, so this series is
         // non-decreasing per key (checked by the merge-convergence
@@ -616,8 +597,8 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
         // (possibly lower) measure and get caught.
         const double measure =
             config_.measure != nullptr ? config_.measure(rec.state) : 0.0;
-        atap_.Emit(audit::Tap::kMergeApplied, net::HashPartitionKey(msg.key()),
-                   msg.seq(), 0, measure);
+        trace().Emit(obs::Ev::kMergeApplied, net::HashPartitionKey(msg.key()),
+                     msg.seq(), measure, msg.span_id());
       }
       break;
     }
@@ -675,12 +656,12 @@ void StateStoreServer::Respond(const MsgView& request) {
                  net::HashPartitionKey(request.key()), request.seq(), 0.0,
                  request.span_id());
   }
-  if (atap_.armed() && IsTail() && request.ack() == AckKind::kWriteAck) {
+  if (trace().armed() && IsTail() && request.ack() == AckKind::kWriteAck) {
     // The tail answering a decided write is the chain-wide commit point —
     // emitted before the response leaves so the commit-order monitor sees
     // commit evidence strictly before the switch's ack-released event.
-    atap_.Emit(audit::Tap::kTailCommit, net::HashPartitionKey(request.key()),
-               request.seq());
+    trace().Emit(obs::Ev::kTailCommit, net::HashPartitionKey(request.key()),
+                 request.seq());
   }
   SendMsg(request.reply_to(), resp);
 }

@@ -34,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/taps.h"
 #include "core/protocol.h"
 #include "net/packet.h"
 #include "sim/node.h"
@@ -57,7 +56,7 @@ struct StoreConfig {
   /// the stored state.  Must match the app's StateTraits::merge; when null,
   /// deltas overwrite (only safe with a single writer).
   core::MergeFn merger = nullptr;
-  /// Monotone measure of merged state, reported on the kMergeApplied tap so
+  /// Monotone measure of merged state, reported on the kMergeApplied event so
   /// the merge-convergence monitor can check the join never goes down the
   /// lattice.  Null reports 0 (monitor sees a flat, trivially valid line).
   core::MeasureFn measure = nullptr;
@@ -179,7 +178,7 @@ class StateStoreServer : public sim::Node {
   void ProcessMsg(core::MsgView msg);
 
   /// Unpacks a batch envelope and applies its sub-messages in order through
-  /// the regular per-message handlers (so every tap/trace/metric fires per
+  /// the regular per-message handlers (so every event and metric fires per
   /// sub-message), then performs one chain traversal for the whole batch:
   /// a pure replica pass forwards the received envelope bytes verbatim; the
   /// head (whose decision stamps CoW the decided subs) rebuilds the
@@ -287,7 +286,6 @@ class StateStoreServer : public sim::Node {
 
   net::Ipv4Addr ip_;
   StoreConfig config_;
-  audit::TapHandle atap_;
   std::optional<net::Ipv4Addr> successor_;
   bool is_head_ = true;
   std::unordered_map<net::PartitionKey, FlowRecord> flows_;

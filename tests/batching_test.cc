@@ -133,18 +133,14 @@ struct BatchHarness {
       tracer.SetClock([this] { return sim.Now(); });
       tracer.SetEnabled(true);
       prev_tracer = obs::SetGlobalTracer(&tracer);
-      auditor.SetClock([this] { return sim.Now(); });
       auditor.ArmStandardMonitors();
-      auditor.SetTracer(&tracer);
-      audit::SetGlobalAuditor(&auditor);
-      auditor.SetEnabled(true);
+      tracer.Subscribe(auditor);
       audit_armed = true;
     }
   }
 
   ~BatchHarness() {
     if (audit_armed) obs::SetGlobalTracer(prev_tracer);
-    // The auditor uninstalls itself from the global slot on destruction.
   }
 
   void SendBurst(int n) {

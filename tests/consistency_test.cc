@@ -18,12 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "apps/counter.h"
 #include "apps/kv_store.h"
 #include "audit/auditor.h"
+#include "common/rng.h"
 #include "core/consistency.h"
 #include "core/redplane_switch.h"
 #include "modelcheck/linearizability.h"
@@ -39,6 +41,20 @@ namespace {
 using core::ConsistencyMode;
 using core::ConsistencyPolicy;
 using core::StateTraits;
+
+/// The event stream armed with the standard auditor subscribed (the
+/// tracer uninstalls itself from the global slot on destruction).
+struct AuditedStream {
+  explicit AuditedStream(sim::Simulator& sim) {
+    tracer.SetClock([&sim] { return sim.Now(); });
+    tracer.SetEnabled(true);
+    obs::SetGlobalTracer(&tracer);
+    auditor.ArmStandardMonitors();
+    tracer.Subscribe(auditor);
+  }
+  obs::Tracer tracer;
+  audit::Auditor auditor;
+};
 
 constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
 constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
@@ -128,6 +144,53 @@ TEST(ConsistencyOracleTest, MergeConvergenceRejectsLatticeDescent) {
   std::string why;
   EXPECT_FALSE(modelcheck::CheckMergeConvergence(samples, &why));
   EXPECT_NE(why.find("lattice"), std::string::npos);
+}
+
+// Bloom filters are cell arrays under the same OR-lattice the spreader
+// bitmaps use. No app declares them, so core::MergeOrBytes is checked
+// directly against raw bit bytes (property_test covers the apps' joins).
+std::vector<std::byte> RandomCells(Rng& rng) {
+  std::vector<std::byte> cells(4 + rng.NextBounded(29));
+  for (std::byte& b : cells) b = static_cast<std::byte>(rng.NextBounded(256));
+  return cells;
+}
+
+std::vector<std::byte> OrJoin(std::vector<std::byte> a,
+                              const std::vector<std::byte>& b) {
+  core::MergeOrBytes(a, std::span<const std::byte>(b.data(), b.size()));
+  return a;
+}
+
+TEST(BloomMergeLaws, CommutativeAssociativeIdempotent) {
+  Rng rng(0x9d1a0005);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto a = RandomCells(rng);
+    const auto b = RandomCells(rng);
+    const auto c = RandomCells(rng);
+    EXPECT_EQ(OrJoin(a, b), OrJoin(b, a)) << "trial " << trial;
+    EXPECT_EQ(OrJoin(OrJoin(a, b), c), OrJoin(a, OrJoin(b, c)))
+        << "trial " << trial;
+    EXPECT_EQ(OrJoin(a, a), a) << "trial " << trial;
+    EXPECT_GE(core::MeasurePopcount(OrJoin(a, b)), core::MeasurePopcount(a))
+        << "trial " << trial;
+  }
+}
+
+TEST(BloomMergeLaws, ReplayAfterFailoverIsIdempotent) {
+  // A resynced store replica may fold deltas a second time, in any order.
+  Rng rng(0xfa110005);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::vector<std::byte>> deltas;
+    for (int i = 0; i < 8; ++i) deltas.push_back(RandomCells(rng));
+    std::vector<std::byte> merged;
+    for (const auto& d : deltas) merged = OrJoin(merged, d);
+    std::vector<std::byte> replayed = merged;
+    const std::size_t replay = 1 + rng.NextBounded(deltas.size());
+    for (std::size_t i = 0; i < replay; ++i) {
+      replayed = OrJoin(replayed, deltas[rng.NextBounded(deltas.size())]);
+    }
+    EXPECT_EQ(replayed, merged) << "trial " << trial;
+  }
 }
 
 // ------------------------------------------------ shared harness ---------
@@ -336,11 +399,8 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
   store_cfg.measure = app.Traits().measure;
   Harness h(app, rp_cfg, store_cfg);
 
-  audit::Auditor auditor;
-  auditor.SetClock([&h] { return h.sim.Now(); });
-  auditor.ArmStandardMonitors();
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
+  AuditedStream stream(h.sim);
+  const audit::Auditor& auditor = stream.auditor;
 
   ASSERT_EQ(h.rp1->consistency_mode(), ConsistencyMode::kMergeable);
 
@@ -369,7 +429,7 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
               std::min<std::size_t>(8, rec->state.size()));
   EXPECT_EQ(stored, 5u);
 
-  // Clean mergeable traffic trips no monitor: the admission taps exempted
+  // Clean mergeable traffic trips no monitor: the admission events exempted
   // the key from single-owner, and the merge measures only went up.
   EXPECT_EQ(auditor.violations().size(), 0u);
 }
@@ -385,11 +445,8 @@ TEST(MergeableTest, OverwriteMutationTripsMergeConvergenceMonitor) {
   store_cfg.mutations.overwrite_instead_of_merge = true;
   Harness h(app, rp_cfg, store_cfg);
 
-  audit::Auditor auditor;
-  auditor.SetClock([&h] { return h.sim.Now(); });
-  auditor.ArmStandardMonitors();
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
+  AuditedStream stream(h.sim);
+  const audit::Auditor& auditor = stream.auditor;
 
   // Imbalanced concurrent writers: sw1 counts fast, sw2 slowly.  Under the
   // mutation, sw2's smaller delta overwrites sw1's larger contribution at
@@ -417,11 +474,8 @@ TEST(ReplicatedReadTest, StaleReadMutationTripsBoundedStalenessMonitor) {
   store_cfg.service_time = Microseconds(400);
   Harness h(app, rp_cfg, store_cfg);
 
-  audit::Auditor auditor;
-  auditor.SetClock([&h] { return h.sim.Now(); });
-  auditor.ArmStandardMonitors();
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
+  AuditedStream stream(h.sim);
+  const audit::Auditor& auditor = stream.auditor;
 
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 1, 1}));
   h.Run(Milliseconds(1));

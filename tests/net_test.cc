@@ -105,6 +105,10 @@ struct CodecCase {
   std::size_t payload_bytes;
 };
 
+// Without this gtest prints the raw struct bytes, which include the `name`
+// pointer and padding, so the listed test names change from run to run.
+void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.name; }
+
 class CodecRoundTrip : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecRoundTrip, SerializeParsePreservesFields) {

@@ -3,7 +3,9 @@
 // phase pairing, and end-to-end trace determinism on the full testbed.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <functional>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,6 +126,32 @@ TEST(TracerTest, TraceHandleRevalidatesAfterReset) {
   const auto records = tracer.Records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(tracer.ComponentName(records[0].component), "widget");
+}
+
+// A new tracer built at a dead one's address must not revalidate a handle's
+// cached component id: generations are process-unique, not per-instance.
+TEST(TracerTest, NewTracerAtDeadOnesAddressDoesNotReuseStaleIds) {
+  alignas(Tracer) std::byte storage[sizeof(Tracer)];
+  obs::TraceHandle a("switch_a");
+  auto* dead = new (storage) Tracer;
+  dead->SetEnabled(true);
+  {
+    GlobalTracerGuard guard(dead);
+    a.Emit(Ev::kIngress);  // caches switch_a's id in this tracer
+  }
+  dead->~Tracer();
+  auto* fresh = new (storage) Tracer;  // same address, fresh name table
+  fresh->SetEnabled(true);
+  {
+    GlobalTracerGuard guard(fresh);
+    obs::TraceHandle b("switch_b");
+    b.Emit(Ev::kIngress);  // takes the id switch_a held in the dead tracer
+    a.Emit(Ev::kHostRecv);
+  }
+  const auto records = fresh->Records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(fresh->ComponentName(records[1].component), "switch_a");
+  fresh->~Tracer();
 }
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
@@ -476,6 +504,32 @@ TEST(ProfilerTest, DisarmedAndDisabledScopesRecordNothing) {
   profiler.SetEnabled(false);
   { obs::ProfScope scope(site); }
   EXPECT_EQ(profiler.Nodes()[0].count, 1u);
+}
+
+// Same discipline for profiler sites: a site's cached id from a dead
+// profiler must not index a new profiler's (smaller) site table.
+TEST(ProfilerTest, NewProfilerAtDeadOnesAddressDoesNotReuseStaleIds) {
+  static obs::ProfSite site("reused.site");
+  alignas(obs::Profiler) std::byte storage[sizeof(obs::Profiler)];
+  auto* dead = new (storage) obs::Profiler;
+  dead->SetEnabled(true);
+  {
+    GlobalProfilerGuard guard(dead);
+    obs::ProfScope scope(site);  // caches the site's id in this profiler
+  }
+  dead->~Profiler();
+  auto* fresh = new (storage) obs::Profiler;  // same address, empty table
+  fresh->SetEnabled(true);
+  {
+    GlobalProfilerGuard guard(fresh);
+    obs::ProfScope scope(site);
+  }
+  bool found = false;
+  for (const obs::ProfSiteTotal& t : fresh->SiteTotals()) {
+    found = found || (t.name == "reused.site" && t.count == 1);
+  }
+  EXPECT_TRUE(found);
+  fresh->~Profiler();
 }
 
 TEST(ProfilerTest, ExportsValidJsonAndCollapsedStacks) {

@@ -277,7 +277,7 @@ std::vector<std::byte> GenSketchState(Rng& rng) {
 }
 
 std::vector<std::byte> GenBitmapState(Rng& rng) {
-  // Spreader bitmaps / Bloom filter cells: raw bit bytes.
+  // Spreader bitmaps: raw bit bytes.
   std::vector<std::byte> state(4 + rng.NextBounded(29));
   for (std::byte& b : state) {
     b = static_cast<std::byte>(rng.NextBounded(256));
@@ -352,9 +352,6 @@ std::vector<MergeLawCase> MakeMergeLawCases() {
        apps::HeavyHitterApp{}.Traits().measure, GenSketchState},
       {"spreader", apps::SpreaderApp{}.Traits().merge,
        apps::SpreaderApp{}.Traits().measure, GenBitmapState},
-      // Bloom filters are cell arrays under the same OR-lattice the
-      // spreader bitmaps use; exercised against raw bit bytes.
-      {"bloom", core::MergeOrBytes, core::MeasurePopcount, GenBitmapState},
   };
 }
 

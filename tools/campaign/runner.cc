@@ -84,6 +84,40 @@ std::uint64_t FlowHash(const net::FlowKey& flow) {
   return net::HashPartitionKey(net::PartitionKey::OfFlow(flow));
 }
 
+/// Collects the samples the offline per-mode oracles check: staleness of
+/// locally served reads and the merged measure of every store-side merge,
+/// with the store's fail-stop epoch folded into the component (mirroring
+/// the online monitor's re-baseline rule).
+class OracleSamples : public obs::Subscriber {
+ public:
+  void OnEvent(const obs::TraceRecord& ev) override {
+    switch (ev.ev) {
+      case obs::Ev::kLocalReadServed:
+        if (ev.aux != 0) {  // aux 0 = no staleness contract (mergeable)
+          stale.push_back(
+              {ev.flow, static_cast<std::uint64_t>(ev.arg), ev.aux});
+        }
+        break;
+      case obs::Ev::kMergeApplied:
+        merge.push_back({HashCombine(static_cast<std::uint64_t>(ev.component),
+                                     epoch_[ev.component]),
+                         ev.flow, ev.arg});
+        break;
+      case obs::Ev::kNodeFailure:
+        ++epoch_[ev.component];
+        break;
+      default:
+        break;
+    }
+  }
+
+  std::vector<modelcheck::StalenessSample> stale;
+  std::vector<modelcheck::MergeSample> merge;
+
+ private:
+  std::map<std::uint16_t, std::uint64_t> epoch_;
+};
+
 /// FNV-1a step over one u64 (byte-at-a-time so the hash is width-stable).
 void HashMix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -127,7 +161,7 @@ RunResult RunHarness(const HarnessOptions& opt) {
   cfg.store.mutations.early_chain_ack = opt.mut.chain;
   cfg.store.mutations.overwrite_instead_of_merge = opt.mut.merge;
   // The store joins merge deltas with the app's declared CRDT join and
-  // reports the monotone measure on the kMergeApplied tap.
+  // reports the monotone measure on the kMergeApplied event.
   cfg.store.merger = core::MergeMaxU64;
   cfg.store.measure = core::MeasureU64;
   if (replicated) {
@@ -146,46 +180,17 @@ RunResult RunHarness(const HarnessOptions& opt) {
   obs::Tracer* prev_tracer = obs::SetGlobalTracer(&tracer);
 
   audit::Auditor auditor;
-  auditor.SetClock([&sim] { return sim.Now(); });
   auditor.ArmStandardMonitors();
-  auditor.SetTracer(&tracer);
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
+  tracer.Subscribe(auditor);
   audit::LinearizabilityFeed feed(&auditor);
 
-  // Recovery forensics: every tap the auditor publishes also feeds the
-  // episode tracker, which decomposes the injected fault's recovery into
-  // causally ordered phases (obs/recovery.h).  The same stream feeds the
-  // offline per-mode oracles: staleness samples from locally served reads
-  // and measure samples from store-side merge applications (with the store
-  // reset epoch folded into the component, mirroring the online monitor's
-  // re-baseline rule).
-  obs::RecoveryTracker recovery(&tracer);
-  std::vector<modelcheck::StalenessSample> stale_samples;
-  std::vector<modelcheck::MergeSample> merge_samples;
-  std::map<std::uint16_t, std::uint64_t> store_epoch;
-  auditor.SetTapObserver([&](const audit::TapEvent& ev) {
-    recovery.OnTapEvent(ev);
-    switch (ev.tap) {
-      case audit::Tap::kLocalReadServed:
-        if (ev.aux != 0) {  // aux 0 = no staleness contract (mergeable)
-          stale_samples.push_back(
-              {ev.key, static_cast<std::uint64_t>(ev.value), ev.aux});
-        }
-        break;
-      case audit::Tap::kMergeApplied:
-        merge_samples.push_back(
-            {HashCombine(static_cast<std::uint64_t>(ev.component),
-                         store_epoch[ev.component]),
-             ev.key, ev.value});
-        break;
-      case audit::Tap::kStoreReset:
-        ++store_epoch[ev.component];
-        break;
-      default:
-        break;
-    }
-  });
+  // Recovery forensics: the episode tracker decomposes the injected fault's
+  // recovery into causally ordered phases (obs/recovery.h).  The same
+  // stream feeds the offline per-mode oracles.
+  obs::RecoveryTracker recovery;
+  tracer.Subscribe(recovery);
+  OracleSamples samples;
+  tracer.Subscribe(samples);
 
   store::ChainManager mgr(sim, tb.store,
                           store::ChainManagerConfig{
@@ -499,16 +504,16 @@ RunResult RunHarness(const HarnessOptions& opt) {
   recovery.Finalize(sim.Now());
   out.trace_hash = trace_hash;
 
-  // Offline per-mode oracles: the tap-derived samples must satisfy the
+  // Offline per-mode oracles: the stream-derived samples must satisfy the
   // mode's promise independently of the online monitors.
-  out.staleness_samples = stale_samples.size();
-  out.merge_samples = merge_samples.size();
+  out.staleness_samples = samples.stale.size();
+  out.merge_samples = samples.merge.size();
   std::string why;
-  if (!modelcheck::CheckBoundedStaleness(stale_samples, &why)) {
+  if (!modelcheck::CheckBoundedStaleness(samples.stale, &why)) {
     ++out.oracle_failures;
     out.oracle_why = why;
   }
-  if (!modelcheck::CheckMergeConvergence(merge_samples, &why)) {
+  if (!modelcheck::CheckMergeConvergence(samples.merge, &why)) {
     ++out.oracle_failures;
     out.oracle_why = out.oracle_why.empty() ? why : out.oracle_why + "; " + why;
   }
@@ -585,7 +590,6 @@ RunResult RunHarness(const HarnessOptions& opt) {
   }
 
   obs::SetGlobalTracer(prev_tracer);
-  // `auditor` uninstalls itself from the global slot on destruction.
   return out;
 }
 

@@ -77,7 +77,7 @@ struct RunResult {
   std::uint64_t audit_events = 0;
   std::size_t lin_failures = 0;
   /// Offline per-mode oracle verdicts (modelcheck/linearizability.h):
-  /// staleness and merge-convergence samples are collected from the taps
+  /// staleness and merge-convergence samples are collected from the stream
   /// and re-judged by an implementation independent of the online monitors.
   std::size_t oracle_failures = 0;
   std::string oracle_why;
