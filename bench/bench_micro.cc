@@ -3,13 +3,16 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "apps/sketch.h"
 #include "audit/auditor.h"
 #include "core/protocol.h"
 #include "core/snapshot.h"
+#include "dataplane/pipeline.h"
 #include "dataplane/register_array.h"
 #include "core/app.h"
 #include "core/consistency.h"
@@ -20,6 +23,8 @@
 #include "obs/tracer.h"
 #include "core/flow_table.h"
 #include "dataplane/mirror.h"
+#include "sim/host.h"
+#include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
 
@@ -258,6 +263,48 @@ void BM_EventDispatchSteadyState(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_EventDispatchSteadyState);
+
+// One packet across a line of plain (pure L3) SwitchNodes between two
+// hosts: the simulator's cost per switch hop, link delivery plus pipeline
+// pass.  Each link crossed is one event, since a switch's arrival and its
+// pipeline pass share it; ci/perf_smoke.py gates events_per_hop at exactly 1.
+void BM_SwitchHop(benchmark::State& state) {
+  constexpr int kSwitches = 8;
+  constexpr int kHops = kSwitches + 1;  // links crossed per packet
+  sim::Simulator sim;
+  sim::Network net(sim, 1);
+  auto* src = net.AddNode<sim::HostNode>("src", net::Ipv4Addr(10, 0, 0, 1));
+  auto* dst =
+      net.AddNode<sim::HostNode>("dst", net::Ipv4Addr(192, 168, 10, 1));
+  sim::Node* prev = src;
+  for (int i = 0; i < kSwitches; ++i) {
+    auto* sw = net.AddNode<dp::SwitchNode>("sw" + std::to_string(i));
+    sw->SetForwarder([](const net::Packet&, PortId) { return PortId{1}; });
+    net.Connect(prev, prev == src ? 0 : 1, sw, 0);
+    prev = sw;
+  }
+  net.Connect(prev, 1, dst, 0);
+  std::uint64_t delivered = 0;
+  dst->SetHandler([&delivered](sim::HostNode&, net::Packet) { ++delivered; });
+  const net::Packet pkt = SamplePacket();
+  src->Send(pkt);
+  sim.Run();  // warm the event slabs
+  const std::uint64_t events_before = sim.EventsProcessed();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    src->Send(pkt);
+    sim.Run();
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  benchmark::DoNotOptimize(delivered);
+  const double hops = static_cast<double>(state.iterations()) * kHops;
+  state.counters["ns_per_hop"] = elapsed_ns / hops;
+  state.counters["events_per_hop"] =
+      static_cast<double>(sim.EventsProcessed() - events_before) / hops;
+}
+BENCHMARK(BM_SwitchHop);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -9,7 +9,8 @@ headline numbers are — without digging through git history.
 
 The baselines are heterogeneous by design (each PR measured what it
 changed): entries may have benchmark before/after pairs with ns medians
-(BENCH_PR2/PR7 "headline" style), after-only measurements, or experiment
+(BENCH_PR2/PR7 "headline" style), before/after pairs in other units
+(perfbench medians), after-only measurements, or experiment
 counters (BENCH_PR5's bytes-on-the-wire shape).  Missing fields render as
 "-" rather than failing: the table is a record, not a gate (the regression
 gate is ci/perf_smoke.py).
@@ -42,16 +43,23 @@ def pr_number(path):
 
 
 def headline_rows(pr, doc):
-    """BENCH_PR2/PR7 style: {"headline": {key: {before_ns, after_ns, ...}}}."""
+    """BENCH_PR2/PR7 style: {"headline": {key: {before_ns, after_ns, ...}}}.
+
+    Entries in other units carry "before"/"after" plus "unit", and
+    "better": "higher" for rates, whose speedup is after / before.
+    """
     rows = []
     for key, entry in doc.get("headline", {}).items():
         if not isinstance(entry, dict):
             continue
-        before = entry.get("before_ns")
-        after = entry.get("after_ns")
+        before = entry.get("before_ns", entry.get("before"))
+        after = entry.get("after_ns", entry.get("after"))
         speedup = entry.get("speedup")
         if speedup is None and before and after:
-            speedup = before / after
+            speedup = (after / before if entry.get("better") == "higher"
+                       else before / after)
+        if entry.get("unit"):
+            key = f"{key} ({entry['unit']})"
         # After-only entries (new capability, no before-twin) still list.
         if after is None:
             numeric = [v for k, v in entry.items()

@@ -7,6 +7,8 @@ Two kinds of checks:
     auditor, and the timing-wheel retransmit path — these must hold on any
     hardware:
       * steady-state event dispatch performs zero heap allocations,
+      * a switch hop costs exactly one simulator event (BM_SwitchHop's
+        events_per_hop is 1.0: link arrival and pipeline pass share it),
       * zero-copy hop forwarding beats the deep-copy/re-encode path by at
         least 2x (the PR's acceptance bar),
       * an armed-but-silent auditor adds at most 5% to the hop-forward and
@@ -140,7 +142,8 @@ def run_bench(bench_path):
             continue
         name = b["run_name"]
         results[name] = b["real_time"]
-        for key in ("heap_allocs_per_dispatch", "items_per_second"):
+        for key in ("heap_allocs_per_dispatch", "items_per_second",
+                    "events_per_hop"):
             if key in b:
                 counters.setdefault(name, {})[key] = b[key]
     return results, counters
@@ -234,6 +237,14 @@ def main():
     elif allocs != 0:
         failures.append(
             f"steady-state event dispatch allocates ({allocs}/dispatch)")
+
+    # Deterministic count, gated exactly.
+    events_per_hop = counters.get("BM_SwitchHop", {}).get("events_per_hop")
+    if events_per_hop is None:
+        failures.append("BM_SwitchHop did not report events_per_hop")
+    elif events_per_hop != 1.0:
+        failures.append(
+            f"a switch hop costs {events_per_hop} simulator events, not 1")
 
     for fast, slow, label in [
         ("BM_LinkHopForward", "BM_LinkHopForwardDeepCopy", "hop-forward"),

@@ -21,7 +21,7 @@ void SwitchContext::Drop(const net::Packet& pkt) {
 
 SwitchNode::SwitchNode(sim::Simulator& sim, NodeId id, std::string name,
                        SwitchConfig config)
-    : Node(sim, id, std::move(name)),
+    : Node(sim, id, std::move(name), config.pipeline_latency),
       config_(config),
       control_plane_(sim, config.control_plane),
       pktgen_(sim),
@@ -41,18 +41,22 @@ void SwitchNode::HandlePacket(net::Packet pkt, PortId in_port) {
   sim_.Schedule(config_.pipeline_latency, [this, epoch, in_port,
                                            pkt = std::move(pkt)]() mutable {
     if (epoch != epoch_ || !IsUp()) return;
-    if (trace().armed()) {
-      const auto flow = pkt.Flow();
-      trace().Emit(obs::Ev::kPipeline, flow ? net::HashFlowKey(*flow) : 0,
-                   pkt.id, static_cast<double>(pkt.WireSize()));
-    }
-    if (handler_ != nullptr) {
-      SwitchContext ctx(*this, in_port);
-      handler_->Process(ctx, std::move(pkt));
-    } else {
-      ForwardPacket(std::move(pkt), in_port);
-    }
+    Ingress(std::move(pkt), in_port);
   });
+}
+
+void SwitchNode::Ingress(net::Packet pkt, PortId in_port) {
+  if (trace().armed()) {
+    const auto flow = pkt.Flow();
+    trace().Emit(obs::Ev::kPipeline, flow ? net::HashFlowKey(*flow) : 0,
+                 pkt.id, static_cast<double>(pkt.WireSize()));
+  }
+  if (handler_ != nullptr) {
+    SwitchContext ctx(*this, in_port);
+    handler_->Process(ctx, std::move(pkt));
+  } else {
+    ForwardPacket(std::move(pkt), in_port);
+  }
 }
 
 void SwitchNode::SetUp(bool up) {

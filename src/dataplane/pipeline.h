@@ -87,7 +87,12 @@ class SwitchNode : public sim::Node {
              SwitchConfig config = {});
   ~SwitchNode() override;
 
+  /// Direct injection (tests, benches): one pipeline pass, then the body.
+  /// Link deliveries skip this: their event already spans the pass.
   void HandlePacket(net::Packet pkt, PortId in_port) override;
+
+  /// The pipeline body: handler (or plain forwarding) at pipeline exit.
+  void Ingress(net::Packet pkt, PortId in_port) override;
 
   /// Fails or recovers the switch.  Failure clears the pipeline handler's
   /// state, pending control-plane work, and mirror buffers.

@@ -28,7 +28,7 @@ void Link::SetUp(bool up) {
   if (up_ == up) return;
   up_ = up;
   trace_.Emit(up ? obs::Ev::kLinkUp : obs::Ev::kLinkDown);
-  if (!up) ++epoch_;  // invalidate in-flight deliveries
+  if (!up) cut_times_.push_back(sim_.Now());  // ends the current epoch
 }
 
 void Link::SetDirectionLoss(NodeId from, double p) {
@@ -75,22 +75,30 @@ void Link::Transmit(NodeId from, net::Packet pkt) {
         rng_.NextBounded(static_cast<std::uint64_t>(config_.reorder_jitter)));
   }
   const SimTime arrival = dir.busy_until + config_.propagation + jitter;
-  const std::uint64_t epoch = epoch_;
-  sim_.ScheduleAt(arrival, [this, to, in_port, pkt = std::move(pkt), epoch]() mutable {
-    Deliver(to, in_port, std::move(pkt), epoch);
-  });
+  const std::uint64_t epoch = cut_times_.size();
+  sim_.ScheduleAt(arrival + to->ingress_latency(),
+                  [this, to, in_port, pkt = std::move(pkt), epoch,
+                   arrival]() mutable {
+                    Deliver(to, in_port, std::move(pkt), epoch, arrival);
+                  });
 }
 
 void Link::Deliver(Node* to, PortId port, net::Packet pkt,
-                   std::uint64_t epoch) {
-  if (!up_ || epoch != epoch_ || !to->IsUp()) {
+                   std::uint64_t epoch, SimTime arrival) {
+  // A cut in (transmit, arrival] or a receiver down at arrival loses the
+  // packet on the link; a cut after arrival is too late to matter.
+  const bool cut = epoch < cut_times_.size() && cut_times_[epoch] <= arrival;
+  const Node::ArrivalState state = to->StateSince(arrival);
+  if (cut || state == Node::ArrivalState::kDown) {
     ++dropped_;
     trace_.Emit(obs::Ev::kLinkDrop, 0, 0, static_cast<double>(pkt.WireSize()));
     return;
   }
   ++delivered_;
   to->NoteRx(pkt.WireSize());
-  to->HandlePacket(std::move(pkt), port);
+  // A receiver that failed during its ingress loses the packet silently,
+  // like any packet inside a failing switch's pipeline.
+  if (state == Node::ArrivalState::kUp) to->Ingress(std::move(pkt), port);
 }
 
 }  // namespace redplane::sim

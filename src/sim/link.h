@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -47,7 +48,9 @@ class Link {
   void Transmit(NodeId from, net::Packet pkt);
 
   /// Administratively disables/enables the link (fiber-cut failure model).
-  /// Packets in flight when the link goes down are dropped.
+  /// Packets in flight when the link goes down are dropped: a packet is lost
+  /// if the link is cut between its transmission and its arrival, even when
+  /// the link is back up by then.
   void SetUp(bool up);
   bool IsUp() const { return up_; }
 
@@ -77,7 +80,10 @@ class Link {
     double loss_override = -1.0;
   };
 
-  void Deliver(Node* to, PortId port, net::Packet pkt, std::uint64_t epoch);
+  /// Runs one ingress latency after `arrival` (one event per hop), with
+  /// the drop checks applied as of `arrival`.
+  void Deliver(Node* to, PortId port, net::Packet pkt, std::uint64_t epoch,
+               SimTime arrival);
 
   Simulator& sim_;
   LinkConfig config_;
@@ -89,8 +95,11 @@ class Link {
   Direction a_to_b_;
   Direction b_to_a_;
   bool up_ = true;
-  /// Incremented on SetUp(false) so in-flight deliveries can be invalidated.
-  std::uint64_t epoch_ = 0;
+  /// cut_times_[e] is when the cut that ended epoch e happened; the current
+  /// epoch is cut_times_.size().  A delivery fires after its arrival, so it
+  /// needs the time of the first cut after its transmission, not only
+  /// whether one happened.
+  std::vector<SimTime> cut_times_;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   obs::TraceHandle trace_;  // named "link:a-b" once connected

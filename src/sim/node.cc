@@ -4,8 +4,14 @@
 
 namespace redplane::sim {
 
-Node::Node(Simulator& sim, NodeId id, std::string name)
-    : sim_(sim), id_(id), name_(std::move(name)), metrics_(name_), trace_(name_) {
+Node::Node(Simulator& sim, NodeId id, std::string name,
+           SimDuration ingress_latency)
+    : sim_(sim),
+      id_(id),
+      name_(std::move(name)),
+      ingress_latency_(ingress_latency),
+      metrics_(name_),
+      trace_(name_) {
   tx_pkts_ = metrics_.RegisterCounter("tx_pkts");
   tx_bytes_ = metrics_.RegisterCounter("tx_bytes");
   rx_pkts_ = metrics_.RegisterCounter("rx_pkts");
@@ -22,6 +28,15 @@ void Node::SetUp(bool up) {
     // reports the node id (aux) as the fault's target.
     trace_.Emit(up ? obs::Ev::kNodeRecovery : obs::Ev::kNodeFailure, 0, 0, 0.0,
                 0, static_cast<std::uint64_t>(id_));
+    if (ingress_latency_ > 0) {
+      // A delivery still pending now arrived after now - ingress latency,
+      // so older transitions can no longer fall inside its ingress.
+      const SimTime now = sim_.Now();
+      std::erase_if(transitions_, [&](SimTime t) {
+        return t <= now - ingress_latency_;
+      });
+      transitions_.push_back(now);
+    }
   }
   up_ = up;
 }

@@ -16,7 +16,9 @@ class Link;
 
 class Node {
  public:
-  Node(Simulator& sim, NodeId id, std::string name);
+  /// `ingress_latency`: see ingress_latency().
+  Node(Simulator& sim, NodeId id, std::string name,
+       SimDuration ingress_latency = 0);
   virtual ~Node();
 
   Node(const Node&) = delete;
@@ -26,8 +28,40 @@ class Node {
   const std::string& name() const { return name_; }
   Simulator& sim() { return sim_; }
 
-  /// Delivers a packet arriving on `in_port`.  Called by Link.
+  /// Handles a packet arriving on `in_port`: a direct injection, or (through
+  /// the default Ingress) a link delivery.
   virtual void HandlePacket(net::Packet pkt, PortId in_port) = 0;
+
+  /// Time from a packet's arrival on a link to the moment this node acts on
+  /// it: a switch's pipeline pass, 0 for every other node.  Link folds it
+  /// into its delivery event, so one switch hop costs one simulator event.
+  SimDuration ingress_latency() const { return ingress_latency_; }
+
+  /// Runs a link delivery once the ingress latency has elapsed and the
+  /// node's state over it checked out (see ArrivalState).  Defaults to
+  /// HandlePacket; SwitchNode runs its pipeline body.
+  virtual void Ingress(net::Packet pkt, PortId in_port) {
+    HandlePacket(std::move(pkt), in_port);
+  }
+
+  /// How a link delivery that arrived at `arrival` finds this node now,
+  /// one ingress latency later.
+  enum class ArrivalState {
+    kDown,         // down at arrival: a link drop
+    kInterrupted,  // up at arrival, changed state since: received, not run
+    kUp,           // up throughout
+  };
+  ArrivalState StateSince(SimTime arrival) const {
+    // Transitions alternate, so the parity of those after `arrival` gives
+    // the state at arrival.  One in the arrival nanosecond counts as before.
+    std::size_t flips = 0;
+    for (auto it = transitions_.rbegin();
+         it != transitions_.rend() && *it > arrival; ++it) {
+      ++flips;
+    }
+    if (up_ == (flips % 2 == 1)) return ArrivalState::kDown;
+    return flips == 0 ? ArrivalState::kUp : ArrivalState::kInterrupted;
+  }
 
   /// Marks this node as failed/recovered.  A failed node silently drops all
   /// deliveries; subclasses may also clear volatile state on failure.
@@ -69,6 +103,11 @@ class Node {
   NodeId id_;
   std::string name_;
   bool up_ = true;
+  const SimDuration ingress_latency_;
+  /// Times of the up/down transitions within the last ingress latency,
+  /// oldest first: exactly the ones a pending delivery may need.  Usually
+  /// empty; a node flapping k times in one ingress latency holds k.
+  std::vector<SimTime> transitions_;
   std::vector<Link*> links_;
   obs::MetricRegistry metrics_;
   obs::TraceHandle trace_;

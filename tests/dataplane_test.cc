@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "dataplane/control_plane.h"
 #include "dataplane/match_table.h"
 #include "dataplane/mirror.h"
@@ -225,6 +229,176 @@ TEST(SwitchNodeTest, PacketInFlightThroughPipelineDroppedOnFailure) {
   sw->SetUp(false);  // fails before the pipeline pass completes
   sim.Run();
   EXPECT_EQ(handler.processed, 0);
+}
+
+// Switch hops driven through real links, pinning when a link or node fault
+// loses a packet relative to its arrival at the switch and its pipeline
+// exit one pipeline latency later.
+class SwitchHopTest : public ::testing::Test {
+ protected:
+  SwitchHopTest() {
+    src_ = net_.AddNode<sim::HostNode>("src", net::Ipv4Addr(1, 1, 1, 1));
+    sw_ = net_.AddNode<SwitchNode>("sw");
+    dst_ = net_.AddNode<sim::HostNode>("dst", net::Ipv4Addr(2, 2, 2, 2));
+    sim::LinkConfig cfg;
+    cfg.bandwidth_bps = 8e9;  // 1 byte/ns: arrival = frame bytes + propagation
+    cfg.propagation = Microseconds(1);
+    in_link_ = net_.Connect(src_, 0, sw_, 0, cfg);
+    net_.Connect(sw_, 1, dst_, 0, cfg);
+    sw_->SetPipeline(&handler_);
+    sw_->SetForwarder([](const net::Packet&, PortId) { return PortId{1}; });
+    dst_->SetHandler([this](sim::HostNode&, net::Packet) { ++received_; });
+    net::Packet probe = Packet();
+    arrival_ = static_cast<SimTime>(probe.WireSize()) + Microseconds(1);
+    exit_ = arrival_ + sw_->config().pipeline_latency;
+  }
+
+  static net::Packet Packet() {
+    net::FlowKey f{net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2), 1, 2,
+                   net::IpProto::kUdp};
+    return net::MakeUdpPacket(f, 0);
+  }
+
+  /// Schedules `fn` at absolute time `t` (before the packet is sent, so
+  /// it runs ahead of any packet event at the same time).
+  void At(SimTime t, std::function<void()> fn) {
+    sim_.ScheduleAt(t, std::move(fn));
+  }
+
+  void SendAndRun() {
+    src_->Send(Packet());
+    sim_.Run();
+  }
+
+  double SwitchRx() const { return sw_->counters().Get("rx_pkts"); }
+
+  sim::Simulator sim_;
+  sim::Network net_{sim_, 1};
+  sim::HostNode* src_ = nullptr;
+  SwitchNode* sw_ = nullptr;
+  sim::HostNode* dst_ = nullptr;
+  sim::Link* in_link_ = nullptr;
+  CountingHandler handler_;
+  int received_ = 0;
+  SimTime arrival_ = 0;  // when the packet reaches the switch
+  SimTime exit_ = 0;     // when its pipeline pass ends
+};
+
+TEST_F(SwitchHopTest, UndisturbedHopIsProcessedAtPipelineExit) {
+  SimTime processed_at = 0;
+  sw_->SetForwarder([&](const net::Packet&, PortId) {
+    processed_at = sim_.Now();
+    return PortId{1};
+  });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 1);
+  EXPECT_EQ(processed_at, exit_);
+  EXPECT_EQ(received_, 1);
+  EXPECT_EQ(in_link_->packets_delivered(), 1u);
+  EXPECT_DOUBLE_EQ(SwitchRx(), 1.0);
+}
+
+TEST_F(SwitchHopTest, LinkCutBeforeArrivalIsLinkDrop) {
+  At(arrival_ - 100, [&] { in_link_->SetUp(false); });
+  At(arrival_ - 50, [&] { in_link_->SetUp(true); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 0);
+  EXPECT_EQ(in_link_->packets_dropped(), 1u);
+  EXPECT_EQ(in_link_->packets_delivered(), 0u);
+  EXPECT_DOUBLE_EQ(SwitchRx(), 0.0);
+}
+
+TEST_F(SwitchHopTest, LinkCutAfterArrivalStillProcesses) {
+  At(arrival_ + 100, [&] { in_link_->SetUp(false); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 1);
+  EXPECT_EQ(received_, 1);
+  EXPECT_EQ(in_link_->packets_delivered(), 1u);
+  EXPECT_EQ(in_link_->packets_dropped(), 0u);
+}
+
+TEST_F(SwitchHopTest, TwoCutsDuringOneFlightDrop) {
+  // The second cut lands inside the pipeline pass; the first, before
+  // arrival, already lost the packet.
+  At(arrival_ - 100, [&] { in_link_->SetUp(false); });
+  At(arrival_ - 50, [&] { in_link_->SetUp(true); });
+  At(arrival_ + 100, [&] { in_link_->SetUp(false); });
+  At(arrival_ + 150, [&] { in_link_->SetUp(true); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 0);
+  EXPECT_EQ(in_link_->packets_dropped(), 1u);
+  EXPECT_EQ(in_link_->packets_delivered(), 0u);
+}
+
+TEST_F(SwitchHopTest, SwitchFailingInsidePipelineCountsRxButDoesNotProcess) {
+  At(arrival_ + 100, [&] { sw_->SetUp(false); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 0);
+  EXPECT_EQ(received_, 0);
+  EXPECT_EQ(in_link_->packets_delivered(), 1u);
+  EXPECT_EQ(in_link_->packets_dropped(), 0u);
+  EXPECT_DOUBLE_EQ(SwitchRx(), 1.0);
+}
+
+TEST_F(SwitchHopTest, SwitchFlappingTwiceInsidePipelineDoesNotProcess) {
+  At(arrival_ + 100, [&] { sw_->SetUp(false); });
+  At(arrival_ + 150, [&] { sw_->SetUp(true); });
+  At(arrival_ + 200, [&] { sw_->SetUp(false); });
+  At(arrival_ + 250, [&] { sw_->SetUp(true); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 0);
+  EXPECT_EQ(received_, 0);
+  EXPECT_EQ(in_link_->packets_delivered(), 1u);
+  EXPECT_DOUBLE_EQ(SwitchRx(), 1.0);
+  EXPECT_TRUE(sw_->IsUp());
+}
+
+TEST_F(SwitchHopTest, SwitchDownAtArrivalAndUpBeforeExitIsLinkDrop) {
+  At(arrival_ - 100, [&] { sw_->SetUp(false); });
+  At(arrival_ + 100, [&] { sw_->SetUp(true); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 0);
+  EXPECT_EQ(in_link_->packets_dropped(), 1u);
+  EXPECT_EQ(in_link_->packets_delivered(), 0u);
+  EXPECT_DOUBLE_EQ(SwitchRx(), 0.0);
+}
+
+TEST_F(SwitchHopTest, SwitchRecoveredBeforeArrivalProcesses) {
+  At(arrival_ - 300, [&] { sw_->SetUp(false); });
+  At(arrival_ - 100, [&] { sw_->SetUp(true); });
+  SendAndRun();
+  EXPECT_EQ(handler_.processed, 1);
+  EXPECT_EQ(received_, 1);
+  EXPECT_EQ(in_link_->packets_delivered(), 1u);
+}
+
+// One simulator event per link crossed: arrival and pipeline pass share the
+// switch hop's event.
+TEST(SwitchNodeTest, OneEventPerLinkCrossed) {
+  sim::Simulator sim;
+  sim::Network net(sim, 1);
+  auto* src = net.AddNode<sim::HostNode>("src", net::Ipv4Addr(1, 1, 1, 1));
+  auto* dst = net.AddNode<sim::HostNode>("dst", net::Ipv4Addr(2, 2, 2, 2));
+  std::vector<SwitchNode*> line;
+  for (int i = 0; i < 3; ++i) {
+    line.push_back(net.AddNode<SwitchNode>("sw" + std::to_string(i)));
+    line.back()->SetForwarder(
+        [](const net::Packet&, PortId) { return PortId{1}; });
+  }
+  net.Connect(src, 0, line[0], 0);
+  net.Connect(line[0], 1, line[1], 0);
+  net.Connect(line[1], 1, line[2], 0);
+  net.Connect(line[2], 1, dst, 0);
+  int received = 0;
+  dst->SetHandler([&](sim::HostNode&, net::Packet) { ++received; });
+
+  net::FlowKey f{net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2), 1, 2,
+                 net::IpProto::kUdp};
+  const std::uint64_t before = sim.EventsProcessed();
+  src->Send(net::MakeUdpPacket(f, 0));
+  sim.Run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(sim.EventsProcessed() - before, 4u);
 }
 
 TEST(SwitchNodeTest, RecirculationRunsWithFreshContext) {

@@ -291,6 +291,10 @@ std::vector<std::byte> Join(core::MergeFn merge, std::vector<std::byte> a,
   return a;
 }
 
+// Without this gtest prints the raw struct bytes, which include the `name`
+// and function pointers, so the listed test names change from run to run.
+void PrintTo(const MergeLawCase& c, std::ostream* os) { *os << c.name; }
+
 class MergeLaws : public ::testing::TestWithParam<MergeLawCase> {};
 
 TEST_P(MergeLaws, CommutativeAssociativeIdempotent) {

@@ -298,6 +298,42 @@ TEST(LinkTest, DownLinkDropsInFlightAndNew) {
   EXPECT_EQ(b->arrivals.size(), 1u);
 }
 
+TEST(LinkTest, CutAndRestoredBeforeArrivalStillDrops) {
+  Simulator sim;
+  Network net(sim, 1);
+  auto* a = net.AddNode<SinkNode>("a");
+  auto* b = net.AddNode<SinkNode>("b");
+  LinkConfig cfg;
+  cfg.propagation = Microseconds(100);
+  Link* link = net.Connect(a, 0, b, 0, cfg);
+
+  sim.Schedule(Microseconds(10), [&]() { link->SetUp(false); });
+  sim.Schedule(Microseconds(20), [&]() { link->SetUp(true); });
+  a->SendTo(0, net::MakeUdpPacket(TestFlow(), 0));
+  sim.Run();
+  EXPECT_TRUE(b->arrivals.empty());
+  EXPECT_EQ(link->packets_dropped(), 1u);
+  EXPECT_EQ(link->packets_delivered(), 0u);
+  EXPECT_DOUBLE_EQ(b->counters().Get("rx_pkts"), 0.0);
+}
+
+TEST(NodeTest, DownAtArrivalDropsEvenIfBackUpAfter) {
+  Simulator sim;
+  Network net(sim, 1);
+  auto* a = net.AddNode<SinkNode>("a");
+  auto* b = net.AddNode<SinkNode>("b");
+  LinkConfig cfg;
+  cfg.propagation = Microseconds(100);
+  Link* link = net.Connect(a, 0, b, 0, cfg);
+
+  sim.Schedule(Microseconds(10), [&]() { b->SetUp(false); });
+  sim.Schedule(Microseconds(200), [&]() { b->SetUp(true); });
+  a->SendTo(0, net::MakeUdpPacket(TestFlow(), 0));
+  sim.Run();
+  EXPECT_TRUE(b->arrivals.empty());
+  EXPECT_EQ(link->packets_dropped(), 1u);
+}
+
 TEST(NodeTest, DownNodeNeitherSendsNorReceives) {
   Simulator sim;
   Network net(sim, 1);
