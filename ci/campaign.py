@@ -1,57 +1,42 @@
 #!/usr/bin/env python3
 """Fault-campaign CI driver: run the audited failure campaign and gate on it.
 
-Three gates, mirroring the campaign binary's own exit-code contract:
+Every gate is one invocation of the campaign binary, which runs a batch of
+schedules with the protocol auditor armed and applies one verdict to it
+(tools/campaign/verdict.h); this script only chooses the batches.  Three
+gates:
 
- 1. Clean sweep — every scenario (switch crash, link flap, lease-expiry
-    race, store failover) across --seeds seeds with the auditor armed must
-    finish with zero invariant violations and zero linearizability
-    failures.  Any violation fails the job; the campaign's per-violation
-    causal-slice artifacts (slice JSON + text) land in --out-dir for
-    upload.
+ 1. Schedule replay — every schedule under tests/schedules/ (the four named
+    failure scenarios switch_crash, link_flap, lease_race and
+    store_failover, plus the minimized repros of fuzz-found bugs), each
+    re-seeded --seeds times, in each consistency mode (single, replicated,
+    mergeable; DESIGN.md section 14) and once more single-owner with
+    replication batching on (--batching=16).  Every run must finish with
+    zero monitor violations, linearizability failures and offline-oracle
+    failures; a schedule whose only event is one fail-stop fault must also
+    yield exactly one complete recovery episode whose phase durations sum
+    to the measured downtime (DESIGN.md section 13; mergeable exempt).
+    Causal slices, recovery timelines and fleet time-series land in
+    --out-dir for upload.
 
- 2. Oracle self-test — re-run one scenario per protocol mutation
-    (--mutate=lease/seq/chain).  Each mutation must be *caught* by the
-    auditor: a silent mutated run means the monitors have gone blind, and
-    the job fails even though nothing "broke".
+ 2. Oracle self-test — the same directory, at each file's own seed, under
+    each seeded protocol mutation.  lease/seq/chain must be caught, per
+    packet and batched; --mutate=stale must trip bounded_staleness under
+    replicated but is legal (auditor silent) under mergeable;
+    --mutate=merge must trip merge_convergence under mergeable and is a
+    no-op under single-owner.  A silent mutated batch means the monitors
+    have gone blind, and the job fails even though nothing "broke".
 
- 3. Recovery forensics — the campaign binary additionally fails any clean
-    run whose fault injection did not produce exactly one detected,
-    complete recovery episode with phase durations summing to the measured
-    downtime (DESIGN.md section 13).  Per-run recovery timelines
-    (<scenario>_s<seed>.recovery.json) and fleet time-series (.fleet.csv)
-    land in --out-dir alongside the campaign report.
-
- 4. Consistency-mode spectrum (DESIGN.md section 14) — the clean sweep
-    re-runs under --consistency=replicated (local reads within a staleness
-    bound) and --consistency=mergeable (zero-RTT multi-writer CRDT counts),
-    each judged by its own monitors and offline oracles.  The mutation
-    self-test then checks the mode-aware mapping: --mutate=stale must trip
-    bounded_staleness under replicated but is *legal* (auditor silent)
-    under mergeable; --mutate=merge must trip merge_convergence under
-    mergeable and is a no-op under single-owner.  The campaign binary
-    encodes the expectations; a wrong outcome either way fails the job.
-
-The single-owner gates run twice: once per-packet and once with replication
-batching on (--batching=16), so the monitors are proven to see through
-batch envelopes — clean batched runs stay silent and mutated batched runs
-are still caught.
-
- 5. Adversarial fuzz (--fuzz N, DESIGN.md section 15) — N randomized
+ 3. Adversarial fuzz (--fuzz N, DESIGN.md section 15) — N randomized
     fault+load schedules drawn by the seeded generator, split across the
-    three consistency modes.  Any violation on an unmutated schedule fails
-    the job; the binary ddmin-minimizes the schedule first, so the
-    artifact that lands in --out-dir (minimized_<seed>.schedule.json) is a
-    replayable repro, not a 10-event haystack.  A per-class mutation
-    self-test then proves each scenario class still reaches its oracle:
-    gray schedules must trip chain_commit under --mutate=chain, churn
-    schedules single_owner under --mutate=lease, flash schedules
-    seq_monotonic under --mutate=seq, capacity schedules single_owner
-    under --mutate=lease.
-
- 6. Repro regressions — every minimized schedule committed under
-    tests/schedules/ (one per fuzz-found-and-fixed bug class) is replayed
-    and must be clean: these are the fuzzer's trophies pinned forever.
+    three consistency modes and judged like gate 1.  On a violation the
+    binary ddmin-minimizes the schedule, so the artifact in --out-dir
+    (minimized_<seed>.schedule.json) is a replayable repro.  A per-class
+    mutation self-test then proves each scenario class still reaches its
+    oracle: gray schedules must trip chain_commit under --mutate=chain,
+    churn schedules single_owner under --mutate=lease, flash schedules
+    seq_monotonic under --mutate=seq, capacity schedules single_owner under
+    --mutate=lease.
 
 Usage:
   ci/campaign.py --campaign build/tools/campaign --out-dir campaign-out
@@ -65,11 +50,11 @@ import pathlib
 import subprocess
 import sys
 
-# Campaign binary exit codes (tools/campaign.cc).
-EXIT_CLEAN_OR_DETECTED = 0
+# Campaign binary exit codes (tools/campaign/verdict.h).
+EXIT_OK = 0
 EXIT_MUTATION_SILENT = 2
 
-MUTATIONS = ["lease", "seq", "chain"]
+MODES = ["single", "replicated", "mergeable"]
 
 # (mutation, mode, expectation label) — the binary itself decides pass/fail
 # from its mode-aware mapping; the label is for the failure message only.
@@ -81,7 +66,7 @@ MODE_MUTATIONS = [
 ]
 
 # (fuzz class, mutation, monitor) — each scenario class must demonstrably
-# reach its oracle when the matching protocol bug is seeded (gate 5).
+# reach its oracle when the matching protocol bug is seeded (gate 3).
 FUZZ_CLASS_MUTATIONS = [
     ("gray", "chain", "chain_commit"),
     ("churn", "lease", "single_owner"),
@@ -93,8 +78,7 @@ FUZZ_CLASS_MUTATIONS = [
 def run(campaign, out_dir, extra, label):
     cmd = [campaign, f"--out-dir={out_dir}"] + extra
     print(f"\n=== {label}: {' '.join(cmd)}", flush=True)
-    proc = subprocess.run(cmd)
-    return proc.returncode
+    return subprocess.run(cmd).returncode
 
 
 def main():
@@ -103,18 +87,20 @@ def main():
                     help="path to the built tools/campaign binary")
     ap.add_argument("--out-dir", required=True,
                     help="report + causal-slice artifact directory")
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--packets", type=int, default=40)
+    ap.add_argument("--seeds", type=int, default=5,
+                    help="re-seeds of each schedule file in gate 1")
+    ap.add_argument("--packets", type=int, default=40,
+                    help="base rounds per flow of the fuzz schedules")
     ap.add_argument("--fuzz", type=int, default=0,
                     help="number of randomized fault+load schedules to run "
                          "(split across the three consistency modes; 0 = "
-                         "skip the fuzz gates)")
+                         "skip the fuzz gate)")
     ap.add_argument("--fuzz-seed", type=int, default=1000,
                     help="base seed for the fuzz schedule generator")
     ap.add_argument("--schedules-dir",
                     default=str(pathlib.Path(__file__).resolve().parent.parent
                                 / "tests" / "schedules"),
-                    help="committed minimized repros replayed as regressions")
+                    help="named scenarios + minimized repros to replay")
     ap.add_argument("--skip-selftest", action="store_true",
                     help="skip the mutation oracle self-test runs")
     ap.add_argument("--skip-batching", action="store_true",
@@ -127,115 +113,70 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     failures = []
 
-    batch_axes = [("", [])]
-    if not args.skip_batching:
-        batch_axes.append(("-batched", ["--batching=16"]))
+    def gate(out_name, extra, label, expectation="clean"):
+        rc = run(args.campaign, out / out_name, extra, label)
+        if rc == EXIT_MUTATION_SILENT:
+            failures.append(f"{label}: expected monitor stayed silent "
+                            f"({expectation})")
+        elif rc != EXIT_OK:
+            failures.append(f"{label} exited {rc} ({expectation}; see "
+                            f"{out / out_name})")
 
-    for suffix, batch_args in batch_axes:
-        axis = "batching on" if batch_args else "per-packet"
+    modes = MODES[:1] if args.skip_modes else MODES
+    schedules = [f"--schedule={args.schedules_dir}"]
+    batch_axes = [[]] if args.skip_batching else [[], ["--batching=16"]]
 
-        # Gate 1: clean sweep — all scenarios, auditor armed, must be silent.
-        rc = run(args.campaign, out / f"clean{suffix}",
-                 [f"--seeds={args.seeds}", f"--packets={args.packets}"]
-                 + batch_args,
-                 f"clean sweep ({args.seeds} seeds x all scenarios, {axis})")
-        if rc != EXIT_CLEAN_OR_DETECTED:
-            failures.append(
-                f"clean sweep ({axis}) exited {rc}: auditor reported "
-                f"violations (causal slices under {out / f'clean{suffix}'})")
+    def axis(batch):
+        return ("-batched", ", batching on") if batch else ("", "")
 
-        # Gate 2: each seeded protocol mutation must trip its monitor.
-        if not args.skip_selftest:
-            for mut in MUTATIONS:
-                rc = run(args.campaign, out / f"mutate-{mut}{suffix}",
-                         ["--seeds=1", f"--packets={args.packets}",
-                          f"--mutate={mut}"] + batch_args,
-                         f"oracle self-test (mutate={mut}, {axis})")
-                if rc == EXIT_MUTATION_SILENT:
-                    failures.append(
-                        f"mutate={mut} ({axis}): auditor stayed silent — "
-                        f"the monitors did not catch a seeded protocol bug")
-                elif rc != EXIT_CLEAN_OR_DETECTED:
-                    failures.append(
-                        f"mutate={mut} ({axis}): campaign exited {rc}")
+    # Gate 1: schedule replay, every mode, plus single-owner batched.
+    passes = [(mode, []) for mode in modes]
+    passes += [("single", batch) for batch in batch_axes if batch]
+    for mode, batch in passes:
+        suffix, note = axis(batch)
+        gate(f"clean-{mode}{suffix}",
+             schedules + [f"--seeds={args.seeds}", f"--consistency={mode}"]
+             + batch,
+             f"schedule replay ({args.seeds} seeds, consistency={mode}{note})")
 
-    # Gate 4: the consistency-mode spectrum, per-packet.
-    if not args.skip_modes:
-        for mode in ["replicated", "mergeable"]:
-            rc = run(args.campaign, out / f"clean-{mode}",
-                     [f"--seeds={args.seeds}", f"--packets={args.packets}",
-                      f"--consistency={mode}"],
-                     f"clean sweep (consistency={mode})")
-            if rc != EXIT_CLEAN_OR_DETECTED:
-                failures.append(
-                    f"clean sweep (consistency={mode}) exited {rc}: "
-                    f"violations or oracle failures under the weaker mode "
-                    f"(see {out / f'clean-{mode}'})")
-        if not args.skip_selftest:
+    # Gate 2: each seeded protocol mutation must trip its monitor (or stay
+    # silent where the mode makes it legal).
+    if not args.skip_selftest:
+        for mut in ["lease", "seq", "chain"]:
+            for batch in batch_axes:
+                suffix, note = axis(batch)
+                gate(f"mutate-{mut}{suffix}",
+                     schedules + [f"--mutate={mut}"] + batch,
+                     f"oracle self-test (mutate={mut}{note})",
+                     "the monitors must catch a seeded protocol bug")
+        if not args.skip_modes:
             for mut, mode, expectation in MODE_MUTATIONS:
-                rc = run(args.campaign, out / f"mutate-{mut}-{mode}",
-                         ["--seeds=1", f"--packets={args.packets}",
-                          f"--mutate={mut}", f"--consistency={mode}"],
-                         f"mode-aware oracle self-test "
-                         f"(mutate={mut}, consistency={mode})")
-                if rc == EXIT_MUTATION_SILENT:
-                    failures.append(
-                        f"mutate={mut} consistency={mode}: expected monitor "
-                        f"stayed silent ({expectation})")
-                elif rc != EXIT_CLEAN_OR_DETECTED:
-                    failures.append(
-                        f"mutate={mut} consistency={mode}: campaign exited "
-                        f"{rc} ({expectation})")
+                gate(f"mutate-{mut}-{mode}",
+                     schedules + [f"--mutate={mut}", f"--consistency={mode}"],
+                     f"mode-aware oracle self-test (mutate={mut}, "
+                     f"consistency={mode})", expectation)
 
-    # Gate 5: randomized fault+load fuzzing, budget split across the modes.
+    # Gate 3: randomized fault+load fuzzing, budget split across the modes,
+    # then each scenario class must still reach its oracle when the
+    # matching protocol bug is seeded.
     if args.fuzz > 0:
         per_mode = max(1, args.fuzz // 3)
-        for i, mode in enumerate(["single", "replicated", "mergeable"]):
-            rc = run(args.campaign, out / f"fuzz-{mode}",
-                     [f"--fuzz={per_mode}", "--fuzz-class=mixed",
-                      f"--fuzz-seed={args.fuzz_seed + 10000 * i}",
-                      f"--packets={args.packets}",
-                      f"--consistency={mode}"],
-                     f"adversarial fuzz ({per_mode} schedules, "
-                     f"consistency={mode})")
-            if rc != EXIT_CLEAN_OR_DETECTED:
-                failures.append(
-                    f"fuzz (consistency={mode}) exited {rc}: a randomized "
-                    f"schedule violated an invariant — minimized repro under "
-                    f"{out / f'fuzz-{mode}'}")
-        # Each scenario class must still reach its oracle when the matching
-        # protocol bug is seeded — otherwise the fuzzer is shaking a tree
-        # the monitors cannot see.
+        for i, mode in enumerate(MODES):
+            gate(f"fuzz-{mode}",
+                 [f"--fuzz={per_mode}", "--fuzz-class=mixed",
+                  f"--fuzz-seed={args.fuzz_seed + 10000 * i}",
+                  f"--packets={args.packets}", f"--consistency={mode}"],
+                 f"adversarial fuzz ({per_mode} schedules, "
+                 f"consistency={mode})",
+                 "minimized repro in the out dir")
         if not args.skip_selftest:
             for cls, mut, monitor in FUZZ_CLASS_MUTATIONS:
-                rc = run(args.campaign, out / f"fuzz-{cls}-{mut}",
-                         ["--fuzz=2", f"--fuzz-class={cls}",
-                          f"--fuzz-seed={args.fuzz_seed}",
-                          f"--packets={args.packets}", f"--mutate={mut}"],
-                         f"fuzz-class oracle self-test ({cls} + mutate={mut})")
-                if rc == EXIT_MUTATION_SILENT:
-                    failures.append(
-                        f"fuzz class {cls} + mutate={mut}: {monitor} stayed "
-                        f"silent — the class no longer reaches its oracle")
-                elif rc != EXIT_CLEAN_OR_DETECTED:
-                    failures.append(
-                        f"fuzz class {cls} + mutate={mut}: campaign exited {rc}")
-
-    # Gate 6: committed minimized repros replay clean, in every mode.  The
-    # schedule file does not pin a consistency mode, and some fuzz-found
-    # bugs only manifest under a weaker mode (e.g. the tail-crash commit
-    # evidence gap needs replicated-mode buffered reads), so each repro is
-    # replayed under all three.
-    schedules = sorted(pathlib.Path(args.schedules_dir).glob("*.json"))
-    for sched in schedules:
-        for mode in ["single", "replicated", "mergeable"]:
-            rc = run(args.campaign, out / "repros",
-                     [f"--schedule={sched}", f"--consistency={mode}"],
-                     f"repro regression ({sched.name}, consistency={mode})")
-            if rc != EXIT_CLEAN_OR_DETECTED:
-                failures.append(
-                    f"repro {sched.name} (consistency={mode}) exited {rc}: "
-                    f"a previously fixed fuzz-found bug is back")
+                gate(f"fuzz-{cls}-{mut}",
+                     ["--fuzz=2", f"--fuzz-class={cls}",
+                      f"--fuzz-seed={args.fuzz_seed}",
+                      f"--packets={args.packets}", f"--mutate={mut}"],
+                     f"fuzz-class oracle self-test ({cls} + mutate={mut})",
+                     f"{monitor} must fire")
 
     if failures:
         print("\nFAULT CAMPAIGN FAILED:")

@@ -1,46 +1,52 @@
-// Fault-campaign runner: sweeps seeds × failure scenarios with the online
-// protocol auditor armed, and reports what it saw.
+// Fault-campaign runner: executes schedules with the online protocol
+// auditor armed, and reports what it saw.
 //
 // Each run builds the paper's testbed (Appendix D), deploys a counter app
 // under RedPlane on both aggregation switches, drives traffic from an
-// external host while injecting faults, and checks the protocol live with
-// src/audit: single lease owner, sequence monotonicity, chain-commit-
-// before-ack, ε staleness, and per-flow counter linearizability.
+// external host while a schedule (tools/campaign/schedule.h) injects faults
+// and adversarial load, and checks the protocol live with src/audit: single
+// lease owner, sequence monotonicity, chain-commit-before-ack, ε staleness,
+// and per-flow counter linearizability.
 //
-// Three operating modes:
+// The schedules come from one of two sources; everything after that — run,
+// report, verdict (tools/campaign/verdict.h), minimization — is one path:
 //
-//   legacy sweep (default) — the four named scenarios × seeds, with the
-//   recovery-forensics gate (exactly one phase-consistent episode per
-//   fault) and the mode-aware --mutate self-tests (DESIGN.md §14).
+//   --schedule=FILE|DIR — replay schedule JSON files (a directory runs every
+//   *.json in it, sorted).  tests/schedules/ holds the four named failure
+//   scenarios (switch_crash, link_flap, lease_race, store_failover) and the
+//   minimized fuzz repros.  --seeds=K runs each file K times, re-seeded to
+//   seed + 1000·k for k < K.
 //
 //   --fuzz=N — the adversarial scenario engine (DESIGN.md §15): N seeded
 //   random schedules of fault events (crashes, link cuts, gray failures,
 //   ECMP re-salts) composed with adversarial load phases (flash crowds,
-//   lease churn, SYN floods), each executed with the full oracle stack
-//   armed.  On a violation the schedule is delta-debugged down to a
-//   1-minimal causal slice and written as a replayable JSON artifact.
-//   --fuzz-class picks a scenario-class focus; --mutate turns a fuzz run
-//   into a detector self-test (the expected monitor must fire somewhere in
-//   the batch).
+//   lease churn, SYN floods), with --packets base rounds per flow
+//   (default 40).
+//   --fuzz-class picks a scenario-class focus.
 //
-//   --schedule=FILE — replay one schedule JSON (e.g. a minimized repro
-//   from tests/schedules/); prints the deterministic trace hash, and with
-//   --expect-hash=H fails if the replay diverges.
+// --mutate turns the batch into a detector self-test (the expected monitor
+// must fire somewhere in the batch, or stay silent where the mutation is
+// legal).  On a clean-run violation the first violating schedule is
+// delta-debugged down to a 1-minimal causal slice and written as a
+// replayable JSON artifact.  Every run prints its deterministic trace hash;
+// --expect-hash=H fails a single-run invocation whose replay diverges.
 //
 // Exit codes: 0 = clean (or, with --mutate, the expected monitor fired — or
 // the auditor correctly stayed silent where the mutation is legal);
-// 1 = invariant violation on a clean run (or a monitor fired on a legal
-// mutation, or a replay hash mismatch); 2 = a --mutate run where the
-// expected monitor stayed silent (the oracle is broken).
+// 1 = invariant violation on a clean run, a missing or inconsistent
+// recovery episode, a monitor firing on a legal mutation, or a replay hash
+// mismatch; 2 = a --mutate run where the expected monitor stayed silent
+// (the oracle is broken); 64 = usage error.
 //
 // Usage:
-//   campaign [--seeds=5] [--scenario=all] [--out-dir=campaign_out]
-//            [--packets=120] [--mutate=none|lease|chain|seq|stale|merge]
+//   campaign (--schedule=FILE|DIR [--seeds=K] [--expect-hash=H] |
+//             --fuzz=N [--fuzz-class=mixed|gray|churn|flash|capacity]
+//             [--fuzz-seed=BASE] [--packets=40])
+//            [--out-dir=campaign_out]
+//            [--mutate=none|lease|chain|seq|stale|merge]
 //            [--consistency=single|replicated|mergeable]
-//            [--batching=<coalesce delay in us; 0 = off>]
-//            [--fuzz=N] [--fuzz-class=mixed|gray|churn|flash|capacity]
-//            [--fuzz-seed=BASE] [--no-minimize]
-//            [--schedule=FILE] [--expect-hash=H]
+//            [--batching=<coalesce delay in us; 0 = off>] [--no-minimize]
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -52,6 +58,7 @@
 #include "tools/campaign/minimizer.h"
 #include "tools/campaign/runner.h"
 #include "tools/campaign/schedule.h"
+#include "tools/campaign/verdict.h"
 
 namespace redplane::campaign {
 namespace {
@@ -63,197 +70,46 @@ std::string ReadFile(const std::string& path) {
   return ss.str();
 }
 
-struct Expectation {
-  std::string monitor;   // monitor that must fire, empty = none
-  bool silence = false;  // mutation is legal under this mode
-};
-
-/// Mode-aware mutation expectations (DESIGN.md §14): which monitor must
-/// fire, or whether the mutation is legal under this mode (expected
-/// silence).  Stale reads are the mergeable mode's normal operation; merge
-/// overwrites are unreachable without merge traffic; and lease/seq/chain
-/// corruptions have nothing to corrupt on the lease-free mergeable path.
-Expectation ExpectationFor(const MutationSpec& mut, core::ConsistencyMode mode) {
-  const bool mergeable = mode == core::ConsistencyMode::kMergeable;
-  Expectation ex;
-  if (mut.lease) ex.monitor = "single_owner";
-  if (mut.seq) ex.monitor = "seq_monotonic";
-  if (mut.chain) ex.monitor = "chain_commit";
-  if ((mut.lease || mut.seq || mut.chain) && mergeable) ex.silence = true;
-  if (mut.stale) {
-    ex.monitor = "bounded_staleness";
-    ex.silence = mode != core::ConsistencyMode::kReplicatedRead;
-  }
-  if (mut.merge) {
-    ex.monitor = "merge_convergence";
-    ex.silence = !mergeable;
-  }
-  return ex;
-}
-
-std::size_t TotalViolations(const RunResult& r) {
-  return r.violations.size() + r.lin_failures + r.oracle_failures;
-}
-
-int RunFuzz(int fuzz_runs, FuzzClass fuzz_class, std::uint64_t fuzz_seed,
-            int packets, core::ConsistencyMode mode, const MutationSpec& mut,
-            const std::string& consistency, const std::string& mutate,
-            const std::string& out_dir, bool minimize) {
-  GeneratorConfig gen_cfg;
-  gen_cfg.focus = fuzz_class;
-  gen_cfg.packets_per_flow = packets;
-  const Expectation ex = ExpectationFor(mut, mode);
-
-  std::vector<RunResult> runs;
-  std::size_t expected_fired = 0;
-  int first_bad = -1;
-  Schedule first_bad_schedule;
-  for (int i = 0; i < fuzz_runs; ++i) {
-    const std::uint64_t seed = fuzz_seed + static_cast<std::uint64_t>(i);
-    const Schedule sched = GenerateSchedule(seed, gen_cfg);
-    const std::string label =
-        std::string("fuzz_") + FuzzClassName(fuzz_class) + "_" +
-        std::to_string(i);
-    std::cout << "[campaign] fuzz " << i + 1 << "/" << fuzz_runs
-              << " seed=" << seed << " class=" << FuzzClassName(fuzz_class)
-              << " events=" << sched.NumEvents()
-              << " consistency=" << consistency << " ..." << std::flush;
-    RunResult r = RunSchedule(sched, mode, mut, out_dir, label);
-    std::cout << " sent=" << r.sent << " delivered=" << r.delivered
-              << " violations=" << TotalViolations(r)
-              << " hash=" << r.trace_hash << "\n";
-    for (const ViolationOut& v : r.violations) {
-      if (v.monitor == ex.monitor) ++expected_fired;
+/// Loads one schedule file, or every *.json in a directory (sorted), each
+/// re-seeded `seeds` times.  Labels are the file stems.  False on an
+/// unreadable or malformed file, or when no file was found.
+bool LoadSchedules(const std::string& path, int seeds,
+                   std::vector<Schedule>& schedules,
+                   std::vector<std::string>& labels) {
+  std::vector<std::filesystem::path> files;
+  if (std::filesystem::is_directory(path)) {
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      if (entry.path().extension() == ".json") files.push_back(entry.path());
     }
-    if (!r.Clean() && first_bad < 0) {
-      first_bad = i;
-      first_bad_schedule = sched;
-    }
-    runs.push_back(std::move(r));
-  }
-
-  std::filesystem::create_directories(out_dir);
-  {
-    std::ofstream json(out_dir + "/report.json");
-    WriteJsonReport(json, runs, mode, mut);
-    std::ofstream md(out_dir + "/report.md");
-    WriteMarkdownReport(md, runs);
-  }
-
-  if (mut.any()) {
-    std::size_t violations = 0;
-    for (const RunResult& r : runs) violations += TotalViolations(r);
-    if (ex.silence) {
-      if (violations > 0) {
-        std::cerr << "[campaign] FAIL: mutation '" << mutate
-                  << "' is legal under --consistency=" << consistency
-                  << " but the fuzz batch reported " << violations
-                  << " violation(s)\n";
-        return 1;
-      }
-      std::cout << "[campaign] OK: mutation '" << mutate
-                << "' is legal under --consistency=" << consistency
-                << "; auditor stayed silent across " << fuzz_runs
-                << " fuzz schedules\n";
-      return 0;
-    }
-    // Self-test: the seeded mutation must be caught somewhere in the batch.
-    // The legacy three keep the looser contract (any violation counts: a
-    // seq corruption may surface first as a linearizability failure).
-    const bool legacy = mut.lease || mut.seq || mut.chain;
-    if (expected_fired == 0 && !(legacy && violations > 0)) {
-      std::cerr << "[campaign] FAIL: mutation '" << mutate << "' active but "
-                << ex.monitor << " stayed silent across " << fuzz_runs
-                << " fuzz schedules\n";
-      return 2;
-    }
-    std::cout << "[campaign] OK: mutation detected under fuzz ("
-              << violations << " violation(s), " << expected_fired << " from "
-              << ex.monitor << ")\n";
-    return 0;
-  }
-
-  if (first_bad < 0) {
-    std::cout << "[campaign] OK: " << fuzz_runs << " fuzz schedule(s) clean "
-              << "under --consistency=" << consistency << "\n";
-    return 0;
-  }
-
-  // A clean-run violation: shrink the schedule to its causal slice and ship
-  // it as a replayable artifact.
-  std::cerr << "[campaign] FAIL: fuzz schedule " << first_bad << " (seed "
-            << first_bad_schedule.seed << ") violated invariants\n";
-  const std::string full_path =
-      out_dir + "/failing_" + std::to_string(first_bad_schedule.seed) +
-      ".schedule.json";
-  std::ofstream(full_path) << ToJson(first_bad_schedule);
-  if (minimize) {
-    const std::string probe_dir = out_dir + "/minimize_probes";
-    int probe_no = 0;
-    auto oracle = [&](const Schedule& candidate) {
-      const RunResult r = RunSchedule(candidate, mode, mut, probe_dir,
-                                      "probe_" + std::to_string(probe_no++));
-      return !r.Clean();
-    };
-    const MinimizeResult min = MinimizeSchedule(first_bad_schedule, oracle);
-    const std::string min_path =
-        out_dir + "/minimized_" + std::to_string(first_bad_schedule.seed) +
-        ".schedule.json";
-    std::ofstream(min_path) << ToJson(min.schedule);
-    std::cerr << "[campaign] minimized " << first_bad_schedule.NumEvents()
-              << " -> " << min.schedule.NumEvents() << " events in "
-              << min.probes << " probes"
-              << (min.one_minimal ? " (1-minimal)" : " (probe budget hit)")
-              << "; repro: " << min_path << "\n";
+    std::sort(files.begin(), files.end());
   } else {
-    std::cerr << "[campaign] repro: " << full_path << "\n";
+    files.emplace_back(path);
   }
-  return 1;
-}
-
-int RunReplay(const std::string& schedule_path, core::ConsistencyMode mode,
-              const MutationSpec& mut, const std::string& out_dir,
-              const std::string& expect_hash) {
-  const std::string text = ReadFile(schedule_path);
-  if (text.empty()) {
-    std::cerr << "cannot read schedule: " << schedule_path << "\n";
-    return 64;
+  for (const std::filesystem::path& file : files) {
+    const std::optional<Schedule> sched = ScheduleFromJson(ReadFile(file));
+    if (!sched.has_value()) {
+      std::cerr << "unreadable or malformed schedule: " << file.string()
+                << "\n";
+      return false;
+    }
+    for (int k = 0; k < seeds; ++k) {
+      Schedule s = *sched;
+      s.seed += 1000ull * static_cast<std::uint64_t>(k);
+      schedules.push_back(std::move(s));
+      labels.push_back(file.stem().string());
+    }
   }
-  const std::optional<Schedule> sched = ScheduleFromJson(text);
-  if (!sched.has_value()) {
-    std::cerr << "malformed schedule JSON: " << schedule_path << "\n";
-    return 64;
-  }
-  const std::string label =
-      "replay_" + std::filesystem::path(schedule_path).stem().string();
-  const RunResult r = RunSchedule(*sched, mode, mut, out_dir, label);
-  std::cout << "[campaign] replay " << schedule_path << " seed=" << sched->seed
-            << " sent=" << r.sent << " delivered=" << r.delivered
-            << " violations=" << TotalViolations(r)
-            << " trace_hash=" << r.trace_hash << "\n";
-  if (!expect_hash.empty() &&
-      expect_hash != std::to_string(r.trace_hash)) {
-    std::cerr << "[campaign] FAIL: replay hash " << r.trace_hash
-              << " != expected " << expect_hash << " (nondeterminism)\n";
-    return 1;
-  }
-  if (!r.Clean()) {
-    std::cerr << "[campaign] FAIL: replayed schedule still violates ("
-              << TotalViolations(r) << " violation(s))\n";
-    return 1;
-  }
-  return 0;
+  return !files.empty();
 }
 
 int Main(int argc, char** argv) {
-  int seeds = 5;
-  int packets = 120;
+  int seeds = 0;    // 0 = not given
+  int packets = 0;  // 0 = not given
   int batching_us = 0;
   int fuzz_runs = 0;
   std::uint64_t fuzz_seed = 1000;
   bool minimize = true;
   std::string out_dir = "campaign_out";
-  std::string scenario_filter = "all";
   std::string mutate = "none";
   std::string consistency = "single";
   std::string fuzz_class_name = "mixed";
@@ -268,11 +124,9 @@ int Main(int argc, char** argv) {
     if (const char* v = value("--seeds=")) {
       seeds = std::max(1, std::atoi(v));
     } else if (const char* v = value("--packets=")) {
-      packets = std::max(10, std::atoi(v));
+      packets = std::max(kMinPacketsPerFlow, std::atoi(v));
     } else if (const char* v = value("--out-dir=")) {
       out_dir = v;
-    } else if (const char* v = value("--scenario=")) {
-      scenario_filter = v;
     } else if (const char* v = value("--mutate=")) {
       mutate = v;
     } else if (const char* v = value("--consistency=")) {
@@ -293,7 +147,7 @@ int Main(int argc, char** argv) {
       expect_hash = v;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
-      return 64;
+      return kExitUsage;
     }
   }
 
@@ -310,7 +164,7 @@ int Main(int argc, char** argv) {
     mut.merge = true;
   } else if (mutate != "none") {
     std::cerr << "unknown --mutate mode: " << mutate << "\n";
-    return 64;
+    return kExitUsage;
   }
 
   core::ConsistencyMode mode = core::ConsistencyMode::kSingleOwner;
@@ -320,46 +174,66 @@ int Main(int argc, char** argv) {
     mode = core::ConsistencyMode::kMergeable;
   } else if (consistency != "single") {
     std::cerr << "unknown --consistency mode: " << consistency << "\n";
-    return 64;
+    return kExitUsage;
   }
-  const bool mergeable = mode == core::ConsistencyMode::kMergeable;
 
-  if (!schedule_path.empty()) {
-    return RunReplay(schedule_path, mode, mut, out_dir, expect_hash);
+  // Build the batch: fuzz-drawn or file-sourced schedules.
+  std::vector<Schedule> schedules;
+  std::vector<std::string> labels;
+  if ((fuzz_runs > 0) == !schedule_path.empty()) {
+    std::cerr << "give exactly one of --fuzz=N or --schedule=FILE|DIR\n";
+    return kExitUsage;
   }
   if (fuzz_runs > 0) {
     const std::optional<FuzzClass> fc = FuzzClassFromName(fuzz_class_name);
     if (!fc.has_value()) {
       std::cerr << "unknown --fuzz-class: " << fuzz_class_name << "\n";
-      return 64;
+      return kExitUsage;
     }
-    // Fuzz schedules use a lighter default traffic shape than the legacy
-    // sweep unless --packets was set explicitly.
-    return RunFuzz(fuzz_runs, *fc, fuzz_seed, packets, mode, mut, consistency,
-                   mutate, out_dir, minimize);
+    if (seeds > 0) {
+      std::cerr << "--seeds re-seeds schedule files; use --fuzz-seed with "
+                   "--fuzz\n";
+      return kExitUsage;
+    }
+    GeneratorConfig gen_cfg;
+    gen_cfg.focus = *fc;
+    if (packets > 0) gen_cfg.packets_per_flow = packets;
+    for (int i = 0; i < fuzz_runs; ++i) {
+      schedules.push_back(GenerateSchedule(
+          fuzz_seed + static_cast<std::uint64_t>(i), gen_cfg));
+      labels.push_back(std::string("fuzz_") + FuzzClassName(*fc) + "_" +
+                       std::to_string(i));
+    }
+  } else if (packets > 0) {
+    std::cerr << "schedule files carry their own packets_per_flow; --packets "
+                 "applies to --fuzz\n";
+    return kExitUsage;
+  } else if (!LoadSchedules(schedule_path, std::max(1, seeds), schedules,
+                            labels)) {
+    std::cerr << "no schedule loaded from " << schedule_path << "\n";
+    return kExitUsage;
+  }
+  if (!expect_hash.empty() && schedules.size() != 1) {
+    std::cerr << "--expect-hash needs exactly one run, got "
+              << schedules.size() << "\n";
+    return kExitUsage;
   }
 
-  const Expectation ex = ExpectationFor(mut, mode);
+  const SimDuration coalesce_delay = Microseconds(batching_us);
   std::vector<RunResult> runs;
-  for (const Scenario& sc : Scenarios()) {
-    if (scenario_filter != "all" && scenario_filter != sc.name) continue;
-    for (int s = 0; s < seeds; ++s) {
-      const std::uint64_t seed = 42 + 1000ull * static_cast<std::uint64_t>(s);
-      std::cout << "[campaign] " << sc.name << " seed=" << seed
-                << " consistency=" << consistency
-                << (batching_us > 0 ? " batching=on" : "") << " ..."
-                << std::flush;
-      RunResult r = RunOne(sc, seed, mode, mut, out_dir, packets,
-                           Microseconds(batching_us));
-      std::cout << " sent=" << r.sent << " delivered=" << r.delivered
-                << " violations=" << r.violations.size()
-                << " lin_failures=" << r.lin_failures << "\n";
-      runs.push_back(std::move(r));
-    }
-  }
-  if (runs.empty()) {
-    std::cerr << "no scenario matched --scenario=" << scenario_filter << "\n";
-    return 64;
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    const Schedule& sched = schedules[i];
+    std::cout << "[campaign] " << labels[i] << " seed=" << sched.seed
+              << " events=" << sched.NumEvents()
+              << " consistency=" << consistency
+              << (batching_us > 0 ? " batching=on" : "") << " ..."
+              << std::flush;
+    RunResult r =
+        RunSchedule(sched, mode, mut, out_dir, labels[i], coalesce_delay);
+    std::cout << " sent=" << r.sent << " delivered=" << r.delivered
+              << " violations=" << TotalViolations(r)
+              << " trace_hash=" << r.trace_hash << "\n";
+    runs.push_back(std::move(r));
   }
 
   std::filesystem::create_directories(out_dir);
@@ -371,84 +245,51 @@ int Main(int argc, char** argv) {
   }
   std::cout << "[campaign] wrote " << out_dir << "/report.json and report.md\n";
 
-  std::size_t violations = 0;
-  std::size_t expected_fired = 0;
-  int delivered = 0;
-  for (const RunResult& r : runs) {
-    violations += TotalViolations(r);
-    for (const ViolationOut& v : r.violations) {
-      if (v.monitor == ex.monitor) ++expected_fired;
-    }
-    delivered += r.delivered;
+  if (!expect_hash.empty() &&
+      expect_hash != std::to_string(runs.front().trace_hash)) {
+    std::cerr << "[campaign] FAIL: replay hash " << runs.front().trace_hash
+              << " != expected " << expect_hash << " (nondeterminism)\n";
+    return kExitViolation;
   }
-  if (delivered == 0) {
-    std::cerr << "[campaign] FAIL: no traffic delivered in any run\n";
-    return 1;
+
+  const Verdict verdict = Judge(schedules, runs, mode, mut);
+  if (verdict.exit_code == kExitOk) {
+    std::cout << "[campaign] OK: " << verdict.message << "\n";
+    return kExitOk;
   }
-  if (mut.any()) {
-    if (ex.silence) {
-      if (violations > 0) {
-        std::cerr << "[campaign] FAIL: mutation '" << mutate
-                  << "' is legal under --consistency=" << consistency
-                  << " but the auditor reported " << violations
-                  << " violation(s)\n";
-        return 1;
-      }
-      std::cout << "[campaign] OK: mutation '" << mutate
-                << "' is legal under --consistency=" << consistency
-                << "; auditor correctly stayed silent\n";
-      return 0;
-    }
-    // The mode-specific mutations must be caught by their own monitor; the
-    // legacy three keep the looser contract (any violation, e.g. a seq
-    // mutation surfacing first as a linearizability failure, still counts).
-    const bool legacy = mut.lease || mut.seq || mut.chain;
-    if (expected_fired == 0 && !(legacy && violations > 0)) {
-      std::cerr << "[campaign] FAIL: protocol mutation active but "
-                << ex.monitor << " stayed silent\n";
-      return 2;
-    }
-    std::cout << "[campaign] OK: mutation detected (" << violations
-              << " violation(s), " << expected_fired << " from " << ex.monitor
-              << ")\n";
-    return 0;
+  std::cerr << "[campaign] FAIL: " << verdict.message << "\n";
+
+  // A clean-run violation: shrink the first violating schedule to its
+  // causal slice and ship it as a replayable artifact.
+  const auto bad = std::find_if(runs.begin(), runs.end(),
+                                [](const RunResult& r) { return !r.Clean(); });
+  if (mut.any() || bad == runs.end()) return verdict.exit_code;
+  const Schedule& failing =
+      schedules[static_cast<std::size_t>(bad - runs.begin())];
+  const std::string full_path = out_dir + "/failing_" +
+                                std::to_string(failing.seed) + ".schedule.json";
+  std::ofstream(full_path) << ToJson(failing);
+  if (!minimize) {
+    std::cerr << "[campaign] repro: " << full_path << "\n";
+    return verdict.exit_code;
   }
-  if (violations > 0) {
-    std::cerr << "[campaign] FAIL: " << violations
-              << " invariant violation(s) on clean runs (see " << out_dir
-              << ")\n";
-    return 1;
-  }
-  // Recovery-forensics gate: every injected fault must yield exactly one
-  // detected episode, complete (service resumed), whose phase durations sum
-  // to the measured downtime (DESIGN.md §13 invariant).  Mergeable mode is
-  // exempt: flows never pause on failover (local admission, zero-RTT
-  // writes), so the lease-centric episode phases don't apply.
-  for (const RunResult& r : runs) {
-    if (mergeable) break;
-    if (r.episodes.size() != 1) {
-      std::cerr << "[campaign] FAIL: " << r.scenario << " seed " << r.seed
-                << ": expected exactly one recovery episode, got "
-                << r.episodes.size() << "\n";
-      return 1;
-    }
-    const EpisodeOut& eo = r.episodes.front();
-    if (!eo.complete) {
-      std::cerr << "[campaign] FAIL: " << r.scenario << " seed " << r.seed
-                << ": recovery episode incomplete (service never resumed)\n";
-      return 1;
-    }
-    if (!eo.phase_sum_ok) {
-      std::cerr << "[campaign] FAIL: " << r.scenario << " seed " << r.seed
-                << ": phase durations do not sum to measured downtime (see "
-                << r.recovery_json_path << ")\n";
-      return 1;
-    }
-  }
-  std::cout << "[campaign] OK: all scenarios clean across " << runs.size()
-            << " runs; every fault produced one phase-consistent recovery "
-               "episode\n";
-  return 0;
+  const std::string probe_dir = out_dir + "/minimize_probes";
+  int probe_no = 0;
+  auto oracle = [&](const Schedule& candidate) {
+    return !RunSchedule(candidate, mode, mut, probe_dir,
+                        "probe_" + std::to_string(probe_no++), coalesce_delay)
+                .Clean();
+  };
+  const MinimizeResult min = MinimizeSchedule(failing, oracle);
+  const std::string min_path = out_dir + "/minimized_" +
+                               std::to_string(failing.seed) + ".schedule.json";
+  std::ofstream(min_path) << ToJson(min.schedule);
+  std::cerr << "[campaign] minimized " << failing.NumEvents() << " -> "
+            << min.schedule.NumEvents() << " events in " << min.probes
+            << " probes"
+            << (min.one_minimal ? " (1-minimal)" : " (probe budget hit)")
+            << "; repro: " << min_path << "\n";
+  return verdict.exit_code;
 }
 
 }  // namespace

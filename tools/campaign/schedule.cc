@@ -69,7 +69,8 @@ std::optional<FuzzClass> FuzzClassFromName(std::string_view name) {
 std::string ToJson(const Schedule& schedule) {
   std::ostringstream os;
   os << "{\"seed\": " << schedule.seed
-     << ", \"packets_per_flow\": " << schedule.packets_per_flow << ",\n";
+     << ", \"packets_per_flow\": " << schedule.packets_per_flow
+     << ", \"lease_period_ns\": " << schedule.lease_period << ",\n";
   os << " \"faults\": [";
   for (std::size_t i = 0; i < schedule.faults.size(); ++i) {
     const FaultEvent& ev = schedule.faults[i];
@@ -97,7 +98,11 @@ std::optional<Schedule> ScheduleFromJson(std::string_view text) {
   sched.seed = static_cast<std::uint64_t>(doc->NumberOr("seed", 42));
   sched.packets_per_flow =
       static_cast<int>(doc->NumberOr("packets_per_flow", 40));
-  if (sched.packets_per_flow < 1) return std::nullopt;
+  sched.lease_period = static_cast<SimDuration>(
+      doc->NumberOr("lease_period_ns", Milliseconds(50)));
+  if (sched.packets_per_flow < 1 || sched.lease_period <= 0) {
+    return std::nullopt;
+  }
 
   const obs::JsonValue* faults = doc->Find("faults");
   if (faults != nullptr) {
@@ -141,13 +146,15 @@ std::optional<Schedule> ScheduleFromJson(std::string_view text) {
 namespace {
 
 /// One random fault of `kind` with a well-formed [at, clear_at) window.
-FaultEvent DrawFault(Rng& rng, FaultKind kind) {
+FaultEvent DrawFault(Rng& rng, FaultKind kind, int packets_per_flow) {
   FaultEvent ev;
   ev.kind = kind;
-  // Inject inside [2 ms, 40 ms) after t0 and always heal before 70 ms so
-  // the drain tail (150 ms of horizon) sees a recovered system.
-  ev.at = Milliseconds(2) + static_cast<SimDuration>(
-                                rng.NextBounded(Milliseconds(38)));
+  // Inject while base traffic still flows (FaultWindowEnd) and heal at most
+  // 30 ms later, so the drain tail (150 ms of horizon) sees a recovered
+  // system.
+  ev.at = kFaultWindowStart +
+          static_cast<SimDuration>(rng.NextBounded(
+              FaultWindowEnd(packets_per_flow) - kFaultWindowStart));
   ev.clear_at = ev.at + Milliseconds(5) +
                 static_cast<SimDuration>(rng.NextBounded(Milliseconds(25)));
   ev.target = static_cast<int>(rng.NextBounded(2));
@@ -213,6 +220,7 @@ Schedule GenerateSchedule(std::uint64_t seed, const GeneratorConfig& config) {
   Schedule sched;
   sched.seed = seed;
   sched.packets_per_flow = config.packets_per_flow;
+  const int ppf = config.packets_per_flow;
 
   switch (config.focus) {
     case FuzzClass::kGray: {
@@ -220,7 +228,7 @@ Schedule GenerateSchedule(std::uint64_t seed, const GeneratorConfig& config) {
                                 FaultKind::kPartition};
       const std::size_t n = 1 + rng.NextBounded(3);
       for (std::size_t i = 0; i < n; ++i) {
-        sched.faults.push_back(DrawFault(rng, gray[rng.NextBounded(3)]));
+        sched.faults.push_back(DrawFault(rng, gray[rng.NextBounded(3)], ppf));
       }
       if (rng.Bernoulli(0.5)) {
         sched.loads.push_back(DrawLoad(rng, LoadKind::kFlashCrowd));
@@ -230,7 +238,7 @@ Schedule GenerateSchedule(std::uint64_t seed, const GeneratorConfig& config) {
     case FuzzClass::kChurn: {
       const std::size_t n = 2 + rng.NextBounded(3);
       for (std::size_t i = 0; i < n; ++i) {
-        sched.faults.push_back(DrawFault(rng, FaultKind::kEcmpRehash));
+        sched.faults.push_back(DrawFault(rng, FaultKind::kEcmpRehash, ppf));
       }
       sched.loads.push_back(DrawLoad(rng, LoadKind::kLeaseChurn));
       break;
@@ -241,17 +249,17 @@ Schedule GenerateSchedule(std::uint64_t seed, const GeneratorConfig& config) {
       // drawn (a crowd alone never reaches the replay path, and the class
       // mutation self-test in CI depends on reaching it from any seed).
       sched.loads.push_back(DrawLoad(rng, LoadKind::kFlashCrowd));
-      sched.faults.push_back(DrawFault(rng, FaultKind::kSwitchCrash));
+      sched.faults.push_back(DrawFault(rng, FaultKind::kSwitchCrash, ppf));
       if (rng.Bernoulli(0.4)) {
         sched.loads.push_back(DrawLoad(rng, LoadKind::kSynFlood));
       }
       break;
     }
     case FuzzClass::kCapacity: {
-      sched.faults.push_back(DrawFault(rng, FaultKind::kCapacity));
+      sched.faults.push_back(DrawFault(rng, FaultKind::kCapacity, ppf));
       sched.loads.push_back(DrawLoad(rng, LoadKind::kFlashCrowd));
       if (rng.Bernoulli(0.5)) {
-        sched.faults.push_back(DrawFault(rng, FaultKind::kEcmpRehash));
+        sched.faults.push_back(DrawFault(rng, FaultKind::kEcmpRehash, ppf));
       }
       break;
     }
@@ -259,7 +267,7 @@ Schedule GenerateSchedule(std::uint64_t seed, const GeneratorConfig& config) {
       const std::size_t num_faults = 1 + rng.NextBounded(3);
       for (std::size_t i = 0; i < num_faults; ++i) {
         sched.faults.push_back(DrawFault(
-            rng, static_cast<FaultKind>(rng.NextBounded(kNumFaultKinds))));
+            rng, static_cast<FaultKind>(rng.NextBounded(kNumFaultKinds)), ppf));
       }
       const std::size_t num_loads = rng.NextBounded(3);
       for (std::size_t i = 0; i < num_loads; ++i) {

@@ -1,4 +1,4 @@
-// Fuzz-campaign schedules (DESIGN.md §15).
+// Fault-campaign schedules (DESIGN.md §15).
 //
 // A Schedule is the serializable unit the adversarial engine works in: a
 // seeded composition of fault events (crashes, link cuts, gray failures,
@@ -7,12 +7,14 @@
 // epoch.  The generator draws one from a seed; the runner executes it
 // against any consistency mode; the minimizer deletes events from it; and
 // the JSON round-trip makes every failing schedule a replayable artifact
-// (tests/schedules/*.json are minimized repros committed as regressions).
+// (tests/schedules/*.json holds the named scenarios and the minimized
+// repros committed as regressions).
 //
 // All times are relative to the fault epoch t0 (end of traffic warmup), so
 // a schedule is meaningful independent of warmup length.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,6 +24,30 @@
 #include "common/types.h"
 
 namespace redplane::campaign {
+
+/// Base-traffic shape shared by the generator and the runner: warmup rounds
+/// before t0, then one round of sends per kRoundPeriod until
+/// packets_per_flow rounds have gone out.  kMinPacketsPerFlow is the floor
+/// the runner (and the CLI's --packets) clamps to.
+inline constexpr int kWarmupRounds = 5;
+inline constexpr SimDuration kRoundPeriod = Microseconds(800);
+inline constexpr int kMinPacketsPerFlow = 10;
+
+/// Time from t0 to the last base-traffic round.
+constexpr SimDuration BaseTrafficSpan(int packets_per_flow) {
+  return (std::max(packets_per_flow, kMinPacketsPerFlow) - kWarmupRounds) *
+         kRoundPeriod;
+}
+
+/// Generated faults inject in [kFaultWindowStart, FaultWindowEnd(ppf)):
+/// early enough that base traffic still flows for ~4 ms after the fault
+/// (detection + lease re-acquisition), so a fail-stop fault's recovery
+/// episode can complete.  At the floor of 10 rounds the window keeps 1 ms.
+inline constexpr SimDuration kFaultWindowStart = Milliseconds(2);
+constexpr SimDuration FaultWindowEnd(int packets_per_flow) {
+  return std::max(kFaultWindowStart + Milliseconds(1),
+                  BaseTrafficSpan(packets_per_flow) - Milliseconds(4));
+}
 
 enum class FaultKind : std::uint8_t {
   kSwitchCrash = 0,  ///< fail an aggregation switch (target picks which)
@@ -75,8 +101,10 @@ struct Schedule {
   /// Drives both the testbed RNG and the load-phase generators; the
   /// (seed, schedule) pair replays bit-identically (trace_hash equal).
   std::uint64_t seed = 42;
-  /// Base-traffic rounds (same meaning as the legacy --packets flag).
+  /// Base-traffic rounds per flow, warmup included (the CLI's --packets).
   int packets_per_flow = 40;
+  /// Lease period of the switches and the store; renewals go out at half.
+  SimDuration lease_period = Milliseconds(50);
   std::vector<FaultEvent> faults;
   std::vector<LoadPhase> loads;
 
