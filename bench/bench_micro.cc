@@ -29,7 +29,8 @@
 #include "sim/timer_wheel.h"
 
 // Process-wide heap-allocation counter, used to prove the steady-state event
-// dispatch path allocates nothing (BM_EventDispatchSteadyState).
+// dispatch path allocates nothing (BM_EventDispatchSteadyState) and to count
+// a protocol encode's allocations (BM_ProtocolEncode, BM_PiggybackParse).
 static std::atomic<std::uint64_t> g_heap_allocs{0};
 
 void* operator new(std::size_t n) {
@@ -66,33 +67,60 @@ void BM_PacketSerialize(benchmark::State& state) {
 BENCHMARK(BM_PacketSerialize);
 
 void BM_PacketParse(benchmark::State& state) {
-  const auto wire = net::Serialize(SamplePacket());
+  const net::BufferView wire = net::Serialize(SamplePacket());
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::Parse(wire));
   }
 }
 BENCHMARK(BM_PacketParse);
 
-void BM_ProtocolEncode(benchmark::State& state) {
+core::Msg SampleWriteRequest() {
   core::Msg msg;
   msg.type = core::MsgType::kLeaseRenewReq;
   msg.key = net::PartitionKey::OfFlow(*SamplePacket().Flow());
   msg.seq = 42;
   msg.state.resize(16);
   msg.piggyback = SamplePacket();
+  return msg;
+}
+
+// A replicated write's request, with its output piggybacked.  Sized first
+// and written in place, an encode is exactly one heap allocation;
+// ci/perf_smoke.py gates allocs_per_op at exactly 1.
+void BM_ProtocolEncode(benchmark::State& state) {
+  const core::Msg msg = SampleWriteRequest();
+  const std::uint64_t allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::EncodeMsg(msg));
   }
+  const std::uint64_t allocs_after =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_after - allocs_before) /
+      static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ProtocolEncode);
 
+// Releasing a piggybacked output: the parsed packet's payload is a slice of
+// the message buffer, so this allocates nothing (gated at exactly 0).
+void BM_PiggybackParse(benchmark::State& state) {
+  const auto view = core::MsgView::Parse(core::EncodeMsg(SampleWriteRequest()));
+  const std::uint64_t allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(view->PiggybackPacket());
+  }
+  const std::uint64_t allocs_after =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_after - allocs_before) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_PiggybackParse);
+
 void BM_ProtocolDecode(benchmark::State& state) {
-  core::Msg msg;
-  msg.type = core::MsgType::kLeaseRenewReq;
-  msg.key = net::PartitionKey::OfFlow(*SamplePacket().Flow());
-  msg.state.resize(16);
-  msg.piggyback = SamplePacket();
-  const auto bytes = core::EncodeMsg(msg);
+  const auto bytes = core::EncodeMsg(SampleWriteRequest());
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::DecodeMsg(bytes));
   }

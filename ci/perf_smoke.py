@@ -7,6 +7,10 @@ Two kinds of checks:
     auditor, and the timing-wheel retransmit path — these must hold on any
     hardware:
       * steady-state event dispatch performs zero heap allocations,
+      * a protocol encode is exactly one heap allocation
+        (BM_ProtocolEncode's allocs_per_op is 1: sized first, written in
+        place), and parsing a piggybacked output is zero
+        (BM_PiggybackParse's allocs_per_op is 0: its payload is a slice),
       * a switch hop costs exactly one simulator event (BM_SwitchHop's
         events_per_hop is 1.0: link arrival and pipeline pass share it),
       * zero-copy hop forwarding beats the deep-copy/re-encode path by at
@@ -143,7 +147,7 @@ def run_bench(bench_path):
         name = b["run_name"]
         results[name] = b["real_time"]
         for key in ("heap_allocs_per_dispatch", "items_per_second",
-                    "events_per_hop"):
+                    "events_per_hop", "allocs_per_op"):
             if key in b:
                 counters.setdefault(name, {})[key] = b[key]
     return results, counters
@@ -237,6 +241,15 @@ def main():
     elif allocs != 0:
         failures.append(
             f"steady-state event dispatch allocates ({allocs}/dispatch)")
+
+    # Deterministic allocation counts of the message codec, gated exactly.
+    for name, want in [("BM_ProtocolEncode", 1.0), ("BM_PiggybackParse", 0.0)]:
+        got = counters.get(name, {}).get("allocs_per_op")
+        if got is None:
+            failures.append(f"{name} did not report allocs_per_op")
+        elif got != want:
+            failures.append(
+                f"{name} makes {got} heap allocations per op, not {want:g}")
 
     # Deterministic count, gated exactly.
     events_per_hop = counters.get("BM_SwitchHop", {}).get("events_per_hop")

@@ -12,7 +12,7 @@ constexpr std::uint16_t kMagic = 0x9D1A;
 
 std::atomic<std::uint64_t> g_encode_count{0};
 
-void EncodeKey(net::ByteWriter& w, const net::PartitionKey& key) {
+void EncodeKey(net::SpanWriter& w, const net::PartitionKey& key) {
   w.U8(static_cast<std::uint8_t>(key.kind));
   switch (key.kind) {
     case net::PartitionKey::Kind::kFlow:
@@ -51,6 +51,23 @@ bool DecodeKey(net::ByteReader& r, net::PartitionKey& key) {
   return false;
 }
 
+/// A full Msg from a validated view, with the piggybacked packet parsed (its
+/// payload a slice of the view's buffer); nullopt if the piggyback is
+/// malformed.
+std::optional<Msg> Materialize(const MsgView& view) {
+  Msg msg = view.ToMsg();
+  if (view.has_piggyback()) {
+    auto inner = view.PiggybackPacket();
+    if (!inner.has_value()) {
+      RP_LOG(kWarn) << "RedPlane message with malformed piggyback";
+      return std::nullopt;
+    }
+    msg.piggyback = std::move(inner);
+    msg.piggyback_raw.clear();
+  }
+  return msg;
+}
+
 }  // namespace
 
 std::size_t HeaderWireSize(const net::PartitionKey& key) {
@@ -66,10 +83,18 @@ std::size_t HeaderWireSize(const net::PartitionKey& key) {
   return 2 + 1 + 1 + 8 + 4 + 4 + 1 + 8 + 1 + 1 + key_size + 2 + 2;
 }
 
-net::Buffer EncodeMsg(const Msg& msg) {
+net::Buffer EncodeMsg(const Msg& msg) { return EncodeMsg(msg, msg.state); }
+
+net::Buffer EncodeMsg(const Msg& msg, std::span<const std::byte> state) {
   g_encode_count.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::byte> out;
-  net::ByteWriter w(out);
+  // Size first, from lengths known before any byte is written, then one
+  // allocation filled in place.
+  const std::size_t piggy_size = msg.piggyback.has_value()
+                                     ? net::SerializedSize(*msg.piggyback)
+                                     : msg.piggyback_raw.size();
+  auto [buffer, out] = net::Buffer::Allocate(HeaderWireSize(msg.key) +
+                                             state.size() + piggy_size);
+  net::SpanWriter w(out);
   w.U16(kMagic);
   w.U8(static_cast<std::uint8_t>(msg.type));
   w.U8(static_cast<std::uint8_t>(msg.ack));
@@ -80,19 +105,16 @@ net::Buffer EncodeMsg(const Msg& msg) {
   w.U64(msg.span_id);
   w.U8(static_cast<std::uint8_t>(msg.mode));
   EncodeKey(w, msg.key);
-  w.U16(static_cast<std::uint16_t>(msg.state.size()));
+  w.U16(static_cast<std::uint16_t>(state.size()));
+  w.U16(static_cast<std::uint16_t>(piggy_size));
+  w.Bytes(state);
   if (msg.piggyback.has_value()) {
-    const std::vector<std::byte> piggy = net::Serialize(*msg.piggyback);
-    w.U16(static_cast<std::uint16_t>(piggy.size()));
-    w.Bytes(msg.state);
-    w.Bytes(piggy);
+    net::SerializeInto(w.Rest(), *msg.piggyback);
   } else {
     // Splice pre-serialized piggyback bytes verbatim (echo paths).
-    w.U16(static_cast<std::uint16_t>(msg.piggyback_raw.size()));
-    w.Bytes(msg.state);
     w.Bytes(msg.piggyback_raw);
   }
-  return net::Buffer::FromVector(std::move(out));
+  return buffer;
 }
 
 std::optional<MsgView> MsgView::Parse(net::BufferView payload) {
@@ -157,17 +179,7 @@ std::optional<Msg> DecodeMsg(std::span<const std::byte> payload) {
   // prefer MsgView::Parse (zero-copy).
   auto view = MsgView::Parse(net::Buffer::CopyOf(payload));
   if (!view.has_value()) return std::nullopt;
-  Msg msg = view->ToMsg();
-  if (view->has_piggyback()) {
-    auto inner = view->PiggybackPacket();
-    if (!inner.has_value()) {
-      RP_LOG(kWarn) << "RedPlane message with malformed piggyback";
-      return std::nullopt;
-    }
-    msg.piggyback = std::move(inner);
-    msg.piggyback_raw.clear();
-  }
-  return msg;
+  return Materialize(*view);
 }
 
 net::Packet MakeProtocolPacket(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
@@ -206,17 +218,7 @@ bool IsProtocolPacket(const net::Packet& pkt) {
 std::optional<Msg> DecodeFromPacket(const net::Packet& pkt) {
   auto view = MsgView::Parse(pkt.payload);
   if (!view.has_value()) return std::nullopt;
-  Msg msg = view->ToMsg();
-  if (view->has_piggyback()) {
-    auto inner = view->PiggybackPacket();
-    if (!inner.has_value()) {
-      RP_LOG(kWarn) << "RedPlane message with malformed piggyback";
-      return std::nullopt;
-    }
-    msg.piggyback = std::move(inner);
-    msg.piggyback_raw.clear();
-  }
-  return msg;
+  return Materialize(*view);
 }
 
 std::uint64_t EncodeCount() {

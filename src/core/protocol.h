@@ -9,17 +9,19 @@
 // durable (§5.1, "Piggybacking output packets").
 //
 // Encode-once discipline: `EncodeMsg` runs once per request at the message's
-// origin and produces an immutable `net::Buffer`.  Every mutable header field
-// sits at a fixed offset before the variable-length key/state/piggyback tail
-// (see `wire::` below), so chain replicas patch `chain_hop` and the head's
-// stamped decision (`ack`, `seq`) in place via `MsgView` setters and forward
-// the same bytes verbatim — a hop never re-serializes the state value or the
-// piggybacked packet.  Read paths use the view accessors and materialize a
+// origin and produces an immutable `net::Buffer` in one allocation (every
+// length is known up front, so it sizes the message, then writes in place).
+// Every mutable header field sits at a fixed offset before the
+// variable-length key/state/piggyback tail (see `wire::` below), so chain
+// replicas patch `chain_hop` and the head's stamped decision (`ack`, `seq`)
+// in place via `MsgView` setters and forward the same bytes verbatim — a hop
+// never re-serializes the state value or the piggybacked packet.  Read paths use the view accessors and materialize a
 // full `Msg` only where state is retained.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -143,7 +145,14 @@ struct Msg {
 
 /// Serializes `msg` into payload bytes (everything after the UDP header).
 /// Called once per message at its origin; forwarding patches the buffer.
+/// Sizes the message first and makes exactly one heap allocation: the
+/// header, the state and the piggybacked packet are written in place.
 net::Buffer EncodeMsg(const Msg& msg);
+
+/// Same, with `state` as the state value in place of `msg.state`: a sender
+/// encodes a flow's state straight from where it lives (a flow table, a
+/// store record, a request's bytes) without copying it into the Msg first.
+net::Buffer EncodeMsg(const Msg& msg, std::span<const std::byte> state);
 
 /// Parses payload bytes back into a message, including the piggybacked
 /// inner packet; nullopt if malformed.
@@ -193,7 +202,8 @@ class MsgView {
     return bytes_.Slice(state_off_ + state_len_, piggy_len_);
   }
   /// Parses the piggybacked inner packet on demand; nullopt if absent or
-  /// malformed.
+  /// malformed.  Allocates nothing: the packet's payload is a slice of this
+  /// message's buffer, which it keeps alive after the view is gone.
   std::optional<net::Packet> PiggybackPacket() const;
 
   /// --- in-place header patching (copy-on-write when shared) ---

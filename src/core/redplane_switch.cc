@@ -174,7 +174,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
         trace_.Emit(obs::Ev::kRenewSent, net::HashPartitionKey(*key),
                     flows_.cur_seq(slot), 0.0, renew.span_id);
       }
-      SendRequest(renew, /*mirror=*/false);
+      SendRequest(renew, {}, /*mirror=*/false);
       // Record the send time for expiry extension on kRenewAck, and arm
       // the un-wedge timer in case the renewal (or its ack) is lost.
       cold.renew_sent_at = now;
@@ -206,7 +206,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
       trace_.Emit(obs::Ev::kBufferedReadLoop, net::HashPartitionKey(*key), 0,
                   static_cast<double>(cold.init_loops), buf.span_id);
     }
-    SendRequest(buf, /*mirror=*/false);
+    SendRequest(buf, {}, /*mirror=*/false);
     return;
   }
 
@@ -234,7 +234,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
     trace_.Emit(obs::Ev::kLeaseMiss, net::HashPartitionKey(*key), 0, 0.0,
                 init.span_id);
   }
-  SendRequest(init, /*mirror=*/true);
+  SendRequest(init, {}, /*mirror=*/true);
 }
 
 void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
@@ -257,7 +257,6 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     repl.seq = seq;
     repl.reply_to = node_.ip();
     repl.mode = mode_;
-    repl.state = flows_.cold(slot).state;
     if (!result.outputs.empty()) {
       if (result.outputs.size() > 1) {
         // Protocol carries one piggyback; multi-output writes are not used
@@ -278,9 +277,10 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     if (trace_.armed()) {
       flows_.cold(slot).last_write_span = repl.span_id;
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(key), seq,
-                  static_cast<double>(repl.state.size()), repl.span_id);
+                  static_cast<double>(flows_.cold(slot).state.size()),
+                  repl.span_id);
     }
-    SendRequest(repl, /*mirror=*/true);
+    SendRequest(repl, flows_.cold(slot).state, /*mirror=*/true);
     return;
   }
 
@@ -329,7 +329,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
                     flows_.cur_seq(slot), 0.0, buf.span_id,
                     flows_.cold(slot).last_write_span);
       }
-      SendRequest(buf, /*mirror=*/false);
+      SendRequest(buf, {}, /*mirror=*/false);
     }
     return;
   }
@@ -411,7 +411,6 @@ void RedPlaneSwitch::MergeTick(std::uint64_t epoch) {
     delta.seq = seq;
     delta.reply_to = node_.ip();
     delta.mode = mode_;
-    delta.state = cold.state;
     delta.span_id = NewSpanId();
     flows_.NoteSend(slot, seq, now,
                     static_cast<SimDuration>(config_.max_retransmissions) *
@@ -419,9 +418,9 @@ void RedPlaneSwitch::MergeTick(std::uint64_t epoch) {
     m_.merge_deltas_sent.Add();
     if (trace_.armed()) {
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(cold.key),
-                  seq, static_cast<double>(delta.state.size()), delta.span_id);
+                  seq, static_cast<double>(cold.state.size()), delta.span_id);
     }
-    SendRequest(delta, /*mirror=*/true);
+    SendRequest(delta, cold.state, /*mirror=*/true);
   }
 }
 
@@ -472,6 +471,9 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
       flows_.cold(slot).init_sent_at = 0;
 
       const std::size_t state_size = msg.state().size();
+      // The state is copied, not viewed: a view would pin the whole grant
+      // message while the install waits in the control-plane queue, where
+      // duplicate grants can stack many installs per flow.
       auto install = [this, key, state = msg.state().ToVector(), seq, sent_at,
                       piggy = std::move(piggy)]() mutable {
         // Re-resolve by key: a control-plane install may be delayed past an
@@ -511,7 +513,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
             sub.reply_to = node_.ip();
             sub.mode = mode_;
             sub.span_id = NewSpanId();
-            SendRequest(sub, /*mirror=*/false);
+            SendRequest(sub, {}, /*mirror=*/false);
           }
         }
         if (piggy.has_value()) {
@@ -597,7 +599,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
             trace_.Emit(obs::Ev::kBufferedReadLoop, net::HashPartitionKey(key),
                         0, static_cast<double>(msg.snapshot_index() + 1), span);
           }
-          SendRequest(buf, /*mirror=*/false);
+          SendRequest(buf, {}, /*mirror=*/false);
           return;
         }
         // Lease landed (or flow was forgotten): run the input through the
@@ -703,7 +705,8 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           flows_.WritesInFlight(slot) || seq < flows_.cur_seq(slot)) {
         return;
       }
-      flows_.cold(slot).state = msg.state().ToVector();
+      const net::BufferView pushed = msg.state();
+      flows_.cold(slot).state.assign(pushed.begin(), pushed.end());
       flows_.cold(slot).has_state = true;
       flows_.set_cur_seq(slot, seq);
       flows_.set_last_acked_seq(slot, seq);
@@ -716,10 +719,13 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
   }
 }
 
-void RedPlaneSwitch::SendRequest(const Msg& msg, bool mirror) {
+void RedPlaneSwitch::SendRequest(const Msg& msg,
+                                 std::span<const std::byte> state,
+                                 bool mirror) {
   obs::ProfScope prof(g_prof_send_request);
+  assert(msg.state.empty());
   // Encode once; the wire packet and the mirror copy share the buffer.
-  net::Buffer payload = EncodeMsg(msg);
+  net::Buffer payload = EncodeMsg(msg, state);
   const net::Ipv4Addr shard = shard_for_(msg.key);
   m_.reqs_sent.Add();
   if (mirror) {
@@ -728,8 +734,9 @@ void RedPlaneSwitch::SendRequest(const Msg& msg, bool mirror) {
         msg.piggyback.has_value() || !msg.piggyback_raw.empty();
     if (!config_.mirror_include_piggyback && has_piggy) {
       // Slice off the piggybacked output and zero its length field; the
-      // patch copies only the retained prefix (CoW), never the output.
-      const std::size_t sans_piggy = HeaderWireSize(msg.key) + msg.state.size();
+      // patch copies only the retained prefix (CoW: one single-block
+      // allocation), never the output.
+      const std::size_t sans_piggy = HeaderWireSize(msg.key) + state.size();
       mdata = mdata.Prefix(sans_piggy);
       mdata.PatchU16(HeaderWireSize(msg.key) - 2, 0);
     }
@@ -987,15 +994,16 @@ void RedPlaneSwitch::SnapshotBurstSlot(std::uint32_t index) {
     msg.seq = snapshot_round_;
     msg.snapshot_index = index;
     msg.reply_to = node_.ip();
-    msg.state = snapshottable_->ReadSnapshotSlot(key, index);
+    const std::vector<std::byte> slot_state =
+        snapshottable_->ReadSnapshotSlot(key, index);
     msg.span_id = NewSpanId();
     m_.snapshot_slots_sent.Add();
     if (trace_.armed()) {
       trace_.Emit(obs::Ev::kSnapshotSent, net::HashPartitionKey(key),
                   SnapSeq(snapshot_round_, index),
-                  static_cast<double>(msg.state.size()), msg.span_id);
+                  static_cast<double>(slot_state.size()), msg.span_id);
     }
-    SendRequest(msg, /*mirror=*/true);
+    SendRequest(msg, slot_state, /*mirror=*/true);
   }
 }
 

@@ -165,8 +165,10 @@ class RedPlaneSwitch : public dp::PipelineHandler {
               std::uint32_t slot, net::Packet pkt);
 
   /// Sends `msg` to the store shard for its key, optionally mirroring it
-  /// for retransmission.
-  void SendRequest(const Msg& msg, bool mirror);
+  /// for retransmission.  `state` is the request's state value, encoded
+  /// straight from where it lives (`msg.state` must be empty).
+  void SendRequest(const Msg& msg, std::span<const std::byte> state,
+                   bool mirror);
 
   /// Appends an encoded request to the shard's pending batch, scheduling a
   /// flush after coalesce_delay (or flushing now on a count/byte cap).

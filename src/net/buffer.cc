@@ -10,17 +10,28 @@ std::atomic<std::uint64_t> g_deep_copies{0};
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
+std::pair<Buffer, std::span<std::byte>> Buffer::Allocate(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<std::byte[]> block =
+      std::make_shared_for_overwrite<std::byte[]>(n);
+  std::byte* bytes = block.get();
+  return {Buffer(std::shared_ptr<std::byte>(std::move(block), bytes), n),
+          {bytes, n}};
+}
+
 Buffer Buffer::FromVector(std::vector<std::byte>&& bytes) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return Buffer(
-      std::make_shared<std::vector<std::byte>>(std::move(bytes)));
+  auto owner = std::make_shared<std::vector<std::byte>>(std::move(bytes));
+  std::byte* data = owner->data();
+  const std::size_t size = owner->size();
+  return Buffer(std::shared_ptr<std::byte>(std::move(owner), data), size);
 }
 
 Buffer Buffer::CopyOf(std::span<const std::byte> bytes) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_deep_copies.fetch_add(1, std::memory_order_relaxed);
-  return Buffer(std::make_shared<std::vector<std::byte>>(bytes.begin(),
-                                                         bytes.end()));
+  auto [buffer, out] = Allocate(bytes.size());
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  return buffer;
 }
 
 std::uint64_t Buffer::DeepCopies() {
@@ -37,11 +48,11 @@ void Buffer::ResetCounters() {
 }
 
 std::byte* BufferView::EnsureUnique() {
-  if (!buffer_.unique()) {
+  if (block_.use_count() != 1) {
     // Clone just the viewed range; the view re-bases onto the clone.
     *this = BufferView(Buffer::CopyOf(span()));
   }
-  return buffer_.data_->data() + offset_;
+  return block_.get() + offset_;
 }
 
 void BufferView::Patch(std::size_t offset,

@@ -2,6 +2,8 @@
 //
 // `Buffer` owns a byte array behind a shared_ptr: copying a Buffer (or a
 // `BufferView` slice of one) bumps a refcount instead of memcpying bytes.
+// A buffer made by `Allocate` or `CopyOf` is one heap block holding both the
+// refcount and the bytes; `FromVector` adopts a vector's storage instead.
 // This is what makes hop-to-hop packet forwarding in the simulator a pointer
 // bump: `Packet::payload` is a BufferView, so a packet crossing ten links
 // shares one backing store with every queued copy of itself.
@@ -25,6 +27,7 @@
 #include <initializer_list>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace redplane::net {
@@ -34,15 +37,20 @@ class Buffer {
  public:
   Buffer() = default;
 
+  /// A fresh `n`-byte buffer in one heap block (refcount and bytes
+  /// together), and the span to write its bytes through.  The bytes start
+  /// uninitialised; fill them before the buffer is shared.
+  static std::pair<Buffer, std::span<std::byte>> Allocate(std::size_t n);
+
   /// Takes ownership of `bytes` without copying.
   static Buffer FromVector(std::vector<std::byte>&& bytes);
 
-  /// Deep-copies `bytes` into a fresh backing store.
+  /// Deep-copies `bytes` into a fresh single-block backing store.
   static Buffer CopyOf(std::span<const std::byte> bytes);
 
-  std::size_t size() const { return data_ ? data_->size() : 0; }
-  bool empty() const { return size() == 0; }
-  const std::byte* data() const { return data_ ? data_->data() : nullptr; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const std::byte* data() const { return data_.get(); }
   std::span<const std::byte> span() const { return {data(), size()}; }
   operator std::span<const std::byte>() const { return span(); }  // NOLINT
 
@@ -61,10 +69,13 @@ class Buffer {
 
  private:
   friend class BufferView;
-  explicit Buffer(std::shared_ptr<std::vector<std::byte>> data)
-      : data_(std::move(data)) {}
+  Buffer(std::shared_ptr<std::byte> data, std::size_t size)
+      : data_(std::move(data)), size_(size) {}
 
-  std::shared_ptr<std::vector<std::byte>> data_;
+  /// Points at the first byte; owns the block (or the adopted vector)
+  /// through shared_ptr's aliasing constructor.
+  std::shared_ptr<std::byte> data_;
+  std::size_t size_ = 0;
 };
 
 /// A [offset, offset+len) window into a Buffer.  Copies share the backing
@@ -77,10 +88,7 @@ class BufferView {
 
   /// Views the whole buffer.
   BufferView(Buffer buffer)  // NOLINT(google-explicit-constructor)
-      : buffer_(std::move(buffer)), offset_(0), len_(buffer_.size()) {}
-
-  BufferView(Buffer buffer, std::size_t offset, std::size_t len)
-      : buffer_(std::move(buffer)), offset_(offset), len_(len) {}
+      : block_(std::move(buffer.data_)), offset_(0), len_(buffer.size_) {}
 
   /// Adopts the vector's storage — no byte copy.
   BufferView(std::vector<std::byte>&& bytes)  // NOLINT
@@ -95,7 +103,7 @@ class BufferView {
 
   std::size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
-  const std::byte* data() const { return buffer_.data() + offset_; }
+  const std::byte* data() const { return block_.get() + offset_; }
   const std::byte* begin() const { return data(); }
   const std::byte* end() const { return data() + len_; }
   std::byte operator[](std::size_t i) const { return data()[i]; }
@@ -105,7 +113,7 @@ class BufferView {
 
   /// Sub-window relative to this view; zero-copy.
   BufferView Slice(std::size_t offset, std::size_t len) const {
-    return BufferView(buffer_, offset_ + offset, len);
+    return BufferView(block_, offset_ + offset, len);
   }
   /// First `len` bytes (zero-copy) — mirror truncation.
   BufferView Prefix(std::size_t len) const {
@@ -133,14 +141,22 @@ class BufferView {
   std::uint32_t U32At(std::size_t offset) const;
   std::uint64_t U64At(std::size_t offset) const;
 
-  const Buffer& buffer() const { return buffer_; }
-  std::size_t offset() const { return offset_; }
+  /// True when both views window the same backing store.
+  bool SharesBuffer(const BufferView& other) const {
+    return block_ == other.block_;
+  }
 
  private:
+  BufferView(std::shared_ptr<std::byte> block, std::size_t offset,
+             std::size_t len)
+      : block_(std::move(block)), offset_(offset), len_(len) {}
+
   /// Ensures sole ownership of the viewed range; returns mutable base ptr.
   std::byte* EnsureUnique();
 
-  Buffer buffer_;
+  /// The backing store's first byte (owning); the view is
+  /// [block_ + offset_, block_ + offset_ + len_).
+  std::shared_ptr<std::byte> block_;
   std::size_t offset_ = 0;
   std::size_t len_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/profiler.h"
@@ -7,38 +8,14 @@
 namespace redplane::net {
 
 namespace {
-// Serialize/Parse run per packet on every link hop; sample 1-in-64 so the
-// armed cost is a countdown decrement on the other 63.
+// Since the simulator moves structured packets hop to hop, Serialize/Parse
+// run only where a packet rides inside a RedPlane message: EncodeMsg writes
+// a piggybacked output, and MsgView::PiggybackPacket reads it back.  That is
+// still up to once per replicated write, so sample 1-in-64 to keep the armed
+// cost a countdown decrement on the other 63.
 obs::ProfSite g_prof_serialize("net.serialize", /*stride=*/64);
 obs::ProfSite g_prof_parse("net.parse", /*stride=*/64);
 }  // namespace
-
-void ByteWriter::U8(std::uint8_t v) { out_.push_back(std::byte{v}); }
-
-void ByteWriter::U16(std::uint16_t v) {
-  U8(static_cast<std::uint8_t>(v >> 8));
-  U8(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::U32(std::uint32_t v) {
-  U16(static_cast<std::uint16_t>(v >> 16));
-  U16(static_cast<std::uint16_t>(v));
-}
-
-void ByteWriter::U64(std::uint64_t v) {
-  U32(static_cast<std::uint32_t>(v >> 32));
-  U32(static_cast<std::uint32_t>(v));
-}
-
-void ByteWriter::Bytes(std::span<const std::byte> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::PatchU16(std::size_t offset, std::uint16_t v) {
-  assert(offset + 2 <= out_.size());
-  out_[offset] = std::byte{static_cast<std::uint8_t>(v >> 8)};
-  out_[offset + 1] = std::byte{static_cast<std::uint8_t>(v)};
-}
 
 bool ByteReader::Ensure(std::size_t n) {
   if (pos_ + n > data_.size()) {
@@ -68,11 +45,13 @@ std::uint64_t ByteReader::U64() {
   return (hi << 32) | U32();
 }
 
-std::vector<std::byte> ByteReader::Bytes(std::size_t n) {
-  if (!Ensure(n)) return {};
-  std::vector<std::byte> out(data_.begin() + pos_, data_.begin() + pos_ + n);
-  pos_ += n;
-  return out;
+void ByteReader::Read(std::span<std::byte> out) {
+  if (!Ensure(out.size())) {
+    std::fill(out.begin(), out.end(), std::byte{0});
+    return;
+  }
+  std::copy_n(data_.begin() + pos_, out.size(), out.begin());
+  pos_ += out.size();
 }
 
 void ByteReader::Skip(std::size_t n) {
@@ -81,14 +60,17 @@ void ByteReader::Skip(std::size_t n) {
 
 namespace {
 
-void WriteIpv4(ByteWriter& w, const Ipv4Header& ip, std::size_t l4_size,
-               std::vector<std::byte>& buf) {
-  const std::size_t start = buf.size();
-  const std::uint16_t total =
-      static_cast<std::uint16_t>(Ipv4Header::kWireSize + l4_size);
+std::size_t L4HeaderSize(const Packet& p) {
+  if (p.udp) return UdpHeader::kWireSize;
+  if (p.tcp) return TcpHeader::kWireSize;
+  return 0;
+}
+
+void WriteIpv4(SpanWriter& w, const Ipv4Header& ip, std::size_t l4_size) {
+  const std::size_t start = w.Size();
   w.U8(0x45);  // version 4, IHL 5
   w.U8(ip.dscp << 2);
-  w.U16(total);
+  w.U16(static_cast<std::uint16_t>(Ipv4Header::kWireSize + l4_size));
   w.U16(ip.identification);
   w.U16(0);  // flags/fragment
   w.U8(ip.ttl);
@@ -96,18 +78,26 @@ void WriteIpv4(ByteWriter& w, const Ipv4Header& ip, std::size_t l4_size,
   w.U16(0);  // checksum placeholder
   w.U32(ip.src.value);
   w.U32(ip.dst.value);
-  const std::uint16_t csum = InternetChecksum(
-      reinterpret_cast<const std::uint8_t*>(buf.data() + start),
-      Ipv4Header::kWireSize);
-  w.PatchU16(start + 10, csum);
+  const std::span<const std::byte> header = w.Written().subspan(start);
+  w.PatchU16(start + 10,
+             InternetChecksum(
+                 reinterpret_cast<const std::uint8_t*>(header.data()),
+                 header.size()));
 }
 
 }  // namespace
 
-std::vector<std::byte> Serialize(const Packet& p) {
+std::size_t SerializedSize(const Packet& p) {
+  std::size_t size = p.payload.size() + p.pad_bytes + L4HeaderSize(p);
+  if (p.eth) size += EthernetHeader::kWireSize + (p.vlan != 0 ? 4 : 0);
+  if (p.ip) size += Ipv4Header::kWireSize;
+  return size;
+}
+
+void SerializeInto(std::span<std::byte> out, const Packet& p) {
   obs::ProfScope prof(g_prof_serialize);
-  std::vector<std::byte> out;
-  ByteWriter w(out);
+  assert(out.size() == SerializedSize(p));
+  SpanWriter w(out);
 
   if (p.eth) {
     w.Bytes(std::as_bytes(std::span(p.eth->dst.bytes)));
@@ -120,11 +110,7 @@ std::vector<std::byte> Serialize(const Packet& p) {
   }
 
   const std::size_t payload_size = p.payload.size() + p.pad_bytes;
-  std::size_t l4_size = payload_size;
-  if (p.udp) l4_size += UdpHeader::kWireSize;
-  if (p.tcp) l4_size += TcpHeader::kWireSize;
-
-  if (p.ip) WriteIpv4(w, *p.ip, l4_size, out);
+  if (p.ip) WriteIpv4(w, *p.ip, L4HeaderSize(p) + payload_size);
 
   if (p.udp) {
     w.U16(p.udp->src_port);
@@ -144,7 +130,12 @@ std::vector<std::byte> Serialize(const Packet& p) {
   }
 
   w.Bytes(p.payload);
-  out.resize(out.size() + p.pad_bytes, std::byte{0});
+  w.Zeros(p.pad_bytes);
+}
+
+std::vector<std::byte> Serialize(const Packet& p) {
+  std::vector<std::byte> out(SerializedSize(p));
+  SerializeInto(out, p);
   return out;
 }
 
@@ -155,16 +146,15 @@ bool IsBatchFrame(const BufferView& payload) {
 BufferView EncodeBatchEnvelope(std::span<const BufferView> msgs) {
   std::size_t total = BatchOverheadBytes(msgs.size());
   for (const BufferView& m : msgs) total += m.size();
-  std::vector<std::byte> out;
-  out.reserve(total);
-  ByteWriter w(out);
+  auto [buffer, out] = Buffer::Allocate(total);
+  SpanWriter w(out);
   w.U16(kBatchMagic);
   w.U16(static_cast<std::uint16_t>(msgs.size()));
   for (const BufferView& m : msgs) {
     w.U32(static_cast<std::uint32_t>(m.size()));
     w.Bytes(m);
   }
-  return Buffer::FromVector(std::move(out));
+  return buffer;
 }
 
 std::optional<BatchView> BatchView::Parse(BufferView frame) {
@@ -190,21 +180,17 @@ std::optional<BatchView> BatchView::Parse(BufferView frame) {
   return v;
 }
 
-std::optional<Packet> Parse(std::span<const std::byte> wire) {
+std::optional<Packet> Parse(BufferView wire) {
   obs::ProfScope prof(g_prof_parse);
   ByteReader r(wire);
   Packet p;
   p.id = NextPacketId();
 
   EthernetHeader eth;
-  auto dst = r.Bytes(6);
-  auto src = r.Bytes(6);
+  r.Read(std::as_writable_bytes(std::span(eth.dst.bytes)));
+  r.Read(std::as_writable_bytes(std::span(eth.src.bytes)));
   std::uint16_t ethertype = r.U16();
   if (!r.ok()) return std::nullopt;
-  std::copy(dst.begin(), dst.end(),
-            reinterpret_cast<std::byte*>(eth.dst.bytes.data()));
-  std::copy(src.begin(), src.end(),
-            reinterpret_cast<std::byte*>(eth.src.bytes.data()));
   if (ethertype == 0x8100) {
     p.vlan = r.U16() & 0x0fff;
     ethertype = r.U16();
@@ -213,7 +199,7 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
   p.eth = eth;
   if (eth.ethertype != EtherType::kIpv4) return std::nullopt;
 
-  const std::size_t ip_start = wire.size() - r.Remaining();
+  const std::size_t ip_start = r.Pos();
   const std::uint8_t ver_ihl = r.U8();
   if ((ver_ihl >> 4) != 4 || (ver_ihl & 0x0f) != 5) return std::nullopt;
   Ipv4Header ip;
@@ -236,6 +222,7 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
   if (ip.total_length < Ipv4Header::kWireSize) return std::nullopt;
   std::size_t l4_len = ip.total_length - Ipv4Header::kWireSize;
 
+  std::size_t payload_len = 0;
   if (ip.protocol == IpProto::kUdp) {
     UdpHeader udp;
     udp.src_port = r.U16();
@@ -249,7 +236,7 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
     // (fuzz-found silent-accept).  Serialize always emits them equal.
     if (udp.length != l4_len) return std::nullopt;
     p.udp = udp;
-    p.payload = r.Bytes(udp.length - UdpHeader::kWireSize);
+    payload_len = udp.length - UdpHeader::kWireSize;
   } else if (ip.protocol == IpProto::kTcp) {
     TcpHeader tcp;
     tcp.src_port = r.U16();
@@ -264,11 +251,14 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
     r.Skip((offset - 5) * 4);
     p.tcp = tcp;
     if (l4_len < static_cast<std::size_t>(offset) * 4) return std::nullopt;
-    p.payload = r.Bytes(l4_len - offset * 4);
+    payload_len = l4_len - offset * 4;
   } else {
     return std::nullopt;
   }
+  const std::size_t payload_off = r.Pos();
+  r.Skip(payload_len);
   if (!r.ok()) return std::nullopt;
+  p.payload = wire.Slice(payload_off, payload_len);
   return p;
 }
 

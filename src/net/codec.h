@@ -5,8 +5,10 @@
 // a network is an expected input, not a programming error.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
@@ -16,24 +18,95 @@
 
 namespace redplane::net {
 
-/// Appends big-endian integers to a byte buffer.  Exposed for the RedPlane
-/// protocol codec, which extends packets with its own header.
+namespace detail {
+/// Stores `v` big-endian at `p` (the compiler folds this into one
+/// byte-swapped store).
+template <typename T>
+inline void StoreBE(std::byte* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = std::byte{static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)))};
+  }
+}
+}  // namespace detail
+
+/// Appends big-endian integers to a growable byte vector.  Apps and tests
+/// build small payloads with it; protocol messages use SpanWriter.
 class ByteWriter {
  public:
   explicit ByteWriter(std::vector<std::byte>& out) : out_(out) {}
 
-  void U8(std::uint8_t v);
-  void U16(std::uint16_t v);
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
-  void Bytes(std::span<const std::byte> data);
+  void U8(std::uint8_t v) { out_.push_back(std::byte{v}); }
+  void U16(std::uint16_t v) { Append(v); }
+  void U32(std::uint32_t v) { Append(v); }
+  void U64(std::uint64_t v) { Append(v); }
+  void Bytes(std::span<const std::byte> data) {
+    out_.insert(out_.end(), data.begin(), data.end());
+  }
 
   std::size_t Size() const { return out_.size(); }
   /// Overwrites a previously written 16-bit field at `offset`.
-  void PatchU16(std::size_t offset, std::uint16_t v);
+  void PatchU16(std::size_t offset, std::uint16_t v) {
+    assert(offset + 2 <= out_.size());
+    detail::StoreBE(out_.data() + offset, v);
+  }
 
  private:
+  /// One resize per field, not one push_back per byte.
+  template <typename T>
+  void Append(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    detail::StoreBE(out_.data() + at, v);
+  }
+
   std::vector<std::byte>& out_;
+};
+
+/// Writes big-endian integers in place into a span sized up front (the
+/// size-first encoders: Buffer::Allocate, then fill).  Writing past the end
+/// is a programming error.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::byte> out) : out_(out) {}
+
+  void U8(std::uint8_t v) { Put(v); }
+  void U16(std::uint16_t v) { Put(v); }
+  void U32(std::uint32_t v) { Put(v); }
+  void U64(std::uint64_t v) { Put(v); }
+  void Bytes(std::span<const std::byte> data) {
+    assert(pos_ + data.size() <= out_.size());
+    if (!data.empty()) {
+      std::memcpy(out_.data() + pos_, data.data(), data.size());
+    }
+    pos_ += data.size();
+  }
+  void Zeros(std::size_t n) {
+    assert(pos_ + n <= out_.size());
+    if (n != 0) std::memset(out_.data() + pos_, 0, n);
+    pos_ += n;
+  }
+
+  /// Bytes written so far.
+  std::size_t Size() const { return pos_; }
+  std::span<const std::byte> Written() const { return out_.first(pos_); }
+  /// The unwritten tail, for a nested encoder to fill.
+  std::span<std::byte> Rest() const { return out_.subspan(pos_); }
+  /// Overwrites a previously written 16-bit field at `offset`.
+  void PatchU16(std::size_t offset, std::uint16_t v) {
+    assert(offset + 2 <= pos_);
+    detail::StoreBE(out_.data() + offset, v);
+  }
+
+ private:
+  template <typename T>
+  void Put(T v) {
+    assert(pos_ + sizeof(T) <= out_.size());
+    detail::StoreBE(out_.data() + pos_, v);
+    pos_ += sizeof(T);
+  }
+
+  std::span<std::byte> out_;
+  std::size_t pos_ = 0;
 };
 
 /// Reads big-endian integers from a byte buffer; all reads are bounds
@@ -46,9 +119,12 @@ class ByteReader {
   std::uint16_t U16();
   std::uint32_t U32();
   std::uint64_t U64();
-  std::vector<std::byte> Bytes(std::size_t n);
+  /// Copies the next `out.size()` bytes into `out` (zeros on overrun).
+  void Read(std::span<std::byte> out);
   void Skip(std::size_t n);
 
+  /// Offset of the next unread byte.
+  std::size_t Pos() const { return pos_; }
   std::size_t Remaining() const { return data_.size() - pos_; }
   bool ok() const { return ok_; }
 
@@ -60,15 +136,26 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// Serializes a packet to wire bytes (Ethernet/IP/UDP-or-TCP/payload).
-/// Pad bytes are emitted as zeros.  Length and checksum fields are computed.
+/// Exact number of bytes Serialize writes for `p`: headers, payload and pad
+/// bytes.  Unlike Packet::WireSize this never rounds up to the 64 B minimum
+/// Ethernet frame (Serialize does not pad short frames).
+std::size_t SerializedSize(const Packet& p);
+
+/// Writes `p`'s wire bytes (Ethernet/IP/UDP-or-TCP/payload) into `out`,
+/// which must be exactly SerializedSize(p) bytes.  Pad bytes are written as
+/// zeros; length and checksum fields are computed.
+void SerializeInto(std::span<std::byte> out, const Packet& p);
+
+/// SerializeInto a fresh vector.
 std::vector<std::byte> Serialize(const Packet& p);
 
 /// Parses wire bytes back into a structured packet.  The parsed packet's
-/// `payload` holds everything after the innermost recognized header (pad
-/// bytes are not distinguishable from payload on the wire, so they come back
-/// inside `payload`).  Returns nullopt on malformed input or bad checksums.
-std::optional<Packet> Parse(std::span<const std::byte> wire);
+/// `payload` is a zero-copy slice of `wire` holding everything after the
+/// innermost recognized header (pad bytes are not distinguishable from
+/// payload on the wire, so they come back inside `payload`); it keeps
+/// `wire`'s buffer alive.  Returns nullopt on malformed input or bad
+/// checksums.
+std::optional<Packet> Parse(BufferView wire);
 
 /// --- batch envelope (DESIGN.md §10) ---
 ///

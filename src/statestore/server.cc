@@ -16,6 +16,12 @@ using core::MsgView;
 namespace {
 obs::ProfSite g_prof_handle_packet("store.handle_packet");
 obs::ProfSite g_prof_process("store.process");
+
+/// Overwrites a stored value with a message's state bytes, reusing the
+/// vector's capacity (a steady write stream allocates nothing here).
+void AssignState(std::vector<std::byte>& stored, const net::BufferView& state) {
+  stored.assign(state.begin(), state.end());
+}
 }  // namespace
 
 StateStoreServer::StateStoreServer(sim::Simulator& sim, NodeId id,
@@ -198,7 +204,7 @@ void StateStoreServer::ProcessMsg(MsgView msg) {
     return;
   }
   switch (msg.type()) {
-    case MsgType::kLeaseNewReq: HandleInit(msg.ToMsg()); break;
+    case MsgType::kLeaseNewReq: HandleInit(std::move(msg)); break;
     case MsgType::kLeaseRenewReq: HandleRepl(std::move(msg)); break;
     case MsgType::kLeaseRenewOnly: HandleRenewOnly(std::move(msg)); break;
     case MsgType::kReadBufferReq: HandleReadBuffer(std::move(msg)); break;
@@ -254,7 +260,7 @@ void StateStoreServer::ProcessBatchEnvelope(net::BufferView frame) {
   // decided subs, or the seq filter answered some directly) rebuild once.
   bool verbatim = batch_forward_.size() == batch->size();
   for (const net::BufferView& v : batch_forward_) {
-    verbatim = verbatim && v.buffer().data() == frame.buffer().data();
+    verbatim = verbatim && v.SharesBuffer(frame);
   }
   if (verbatim) {
     SendRaw(*successor_, std::move(frame));
@@ -296,41 +302,41 @@ SimDuration StateStoreServer::EffectiveServiceTime() const {
       static_cast<double>(config_.service_time) * service_factor_);
 }
 
-void StateStoreServer::HandleInit(Msg msg) {
+void StateStoreServer::HandleInit(MsgView msg) {
   m_.init_reqs.Add();
   // Capacity pressure (gray failure): a brand-new flow arriving at a full
   // table is denied outright — the switch's deny path, not a timeout.
   if (max_flows_ > 0 && flows_.size() >= max_flows_ &&
-      flows_.find(msg.key) == flows_.end()) {
-    SendDeny(msg.key, msg.reply_to, 0, msg.span_id);
+      flows_.find(msg.key()) == flows_.end()) {
+    SendDeny(msg.key(), msg.reply_to(), 0, msg.span_id());
     if (trace().armed()) {
-      trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key), 0,
-                   0.0, msg.span_id);
+      trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()), 0,
+                   0.0, msg.span_id());
     }
     return;
   }
-  FlowRecord& rec = GetOrCreate(msg.key);
-  if (LeaseActiveByOther(rec, msg.reply_to)) {
+  FlowRecord& rec = GetOrCreate(msg.key());
+  if (LeaseActiveByOther(rec, msg.reply_to())) {
     // Another switch owns the flow: buffer the request until the lease
     // lapses (the spec's BUFFERING branch), bounded by configuration.
     // Retransmitted Inits from a switch already waiting are absorbed.
-    auto& queue = pending_inits_[msg.key];
+    auto& queue = pending_inits_[msg.key()];
     for (const PendingInit& pending : queue) {
-      if (pending.msg.reply_to == msg.reply_to) {
+      if (pending.msg.reply_to() == msg.reply_to()) {
         m_.init_dedup.Add();
         return;
       }
     }
     if (queue.size() >= config_.max_buffered_inits) {
-      SendDeny(msg.key, msg.reply_to, rec.last_applied_seq, msg.span_id);
+      SendDeny(msg.key(), msg.reply_to(), rec.last_applied_seq, msg.span_id());
       if (trace().armed()) {
-        trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key), 0,
-                     0.0, msg.span_id);
+        trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
+                     0, 0.0, msg.span_id());
       }
       return;
     }
-    const net::PartitionKey key = msg.key;
-    const std::uint64_t span = msg.span_id;
+    const net::PartitionKey key = msg.key();
+    const std::uint64_t span = msg.span_id();
     const SimTime retry_at = rec.lease_expiry + Microseconds(1);
     queue.push_back(PendingInit{std::move(msg)});
     m_.init_buffered.Add();
@@ -344,23 +350,27 @@ void StateStoreServer::HandleInit(Msg msg) {
 
   // Grant.  A brand-new flow may get application-assigned initial state
   // (e.g. a NAT port allocation) from the registered initializer.
+  Msg grant = msg.ToMsg();
   if (!rec.exists) {
     rec.exists = true;
     if (config_.initializer) {
-      rec.state = config_.initializer(msg.key);
+      rec.state = config_.initializer(msg.key());
     }
-    msg.ack = AckKind::kLeaseGrantNew;
+    grant.ack = AckKind::kLeaseGrantNew;
     m_.grants_new.Add();
   } else {
-    msg.ack = AckKind::kLeaseGrantMigrate;
+    grant.ack = AckKind::kLeaseGrantMigrate;
     m_.grants_migrate.Add();
   }
   // Carry the authoritative state and sequence number to the switch (and to
-  // the chain replicas, which apply the same ownership change).
-  msg.state = rec.state;
-  msg.seq = rec.last_applied_seq;
-  ++msg.chain_hop;  // decided; apply locally, then continue down the chain
-  ApplyAndContinue(std::move(msg));
+  // the chain replicas, which apply the same ownership change).  The grant
+  // is encoded once, with the stored state spliced in and the request's
+  // piggyback echoed verbatim.
+  grant.seq = rec.last_applied_seq;
+  ++grant.chain_hop;  // decided; apply locally, then continue down the chain
+  auto decided = MsgView::Parse(core::EncodeMsg(grant, rec.state));
+  assert(decided.has_value());
+  ApplyAndContinue(std::move(*decided));
 }
 
 void StateStoreServer::HandleRepl(MsgView msg) {
@@ -481,11 +491,10 @@ void StateStoreServer::HandleReplicaSubscribe(MsgView msg) {
   push.ack = AckKind::kReplicaPush;
   push.key = msg.key();
   push.seq = rec.last_applied_seq;
-  push.state = rec.state;
   push.mode = msg.mode();
   push.span_id = msg.span_id();
   m_.replica_pushes_tx.Add();
-  SendMsg(sub, push);
+  SendMsg(sub, push, rec.state);
 }
 
 void StateStoreServer::PushToSubscribers(const net::PartitionKey& key,
@@ -500,7 +509,6 @@ void StateStoreServer::PushToSubscribers(const net::PartitionKey& key,
     push.ack = AckKind::kReplicaPush;
     push.key = key;
     push.seq = rec.last_applied_seq;
-    push.state = rec.state;
     push.mode = core::ConsistencyMode::kReplicatedRead;
     push.span_id = span;
     m_.replica_pushes_tx.Add();
@@ -508,14 +516,8 @@ void StateStoreServer::PushToSubscribers(const net::PartitionKey& key,
       trace().Emit(obs::Ev::kReplicaPushed, net::HashPartitionKey(key),
                    rec.last_applied_seq, 0.0, 0, sub.value);
     }
-    SendMsg(sub, push);
+    SendMsg(sub, push, rec.state);
   }
-}
-
-void StateStoreServer::ApplyAndContinue(Msg&& msg) {
-  auto view = MsgView::Parse(core::EncodeMsg(msg));
-  assert(view.has_value());
-  ApplyAndContinue(std::move(*view));
 }
 
 void StateStoreServer::ApplyAndContinue(MsgView msg) {
@@ -523,7 +525,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
   switch (msg.type()) {
     case MsgType::kLeaseNewReq:
       rec.exists = true;
-      rec.state = msg.state().ToVector();
+      AssignState(rec.state, msg.state());
       rec.last_applied_seq = msg.seq();
       rec.owner = msg.reply_to();
       rec.lease_expiry = sim_.Now() + config_.lease_period;
@@ -532,7 +534,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       rec.exists = true;
       if (msg.seq() > rec.last_applied_seq ||
           config_.mutations.disable_seq_filter) {
-        rec.state = msg.state().ToVector();
+        AssignState(rec.state, msg.state());
         rec.last_applied_seq = msg.seq();
         if (trace().armed()) {
           trace().Emit(obs::Ev::kStoreApplied,
@@ -574,7 +576,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       rec.exists = true;
       auto& slot = rec.snapshot_slots[msg.snapshot_index()];
       if (msg.seq() > slot.second) {
-        slot.first = msg.state().ToVector();
+        AssignState(slot.first, msg.state());
         slot.second = msg.seq();
       }
       rec.last_snapshot_at = sim_.Now();
@@ -585,7 +587,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       rec.mergeable = true;
       if (config_.mutations.overwrite_instead_of_merge ||
           config_.merger == nullptr) {
-        rec.state = msg.state().ToVector();
+        AssignState(rec.state, msg.state());
       } else {
         config_.merger(rec.state, msg.state().span());
       }
@@ -641,14 +643,17 @@ void StateStoreServer::Respond(const MsgView& request) {
   resp.span_id = request.span_id();
   resp.mode = request.mode();
   resp.piggyback_raw = request.piggyback_bytes();
+  // The state is encoded straight from the request's bytes or the record.
+  const net::BufferView request_state = request.state();
+  std::span<const std::byte> state;
   if (request.ack() == AckKind::kLeaseGrantNew ||
       request.ack() == AckKind::kLeaseGrantMigrate) {
-    resp.state = request.state().ToVector();
+    state = request_state;
   } else if (request.ack() == AckKind::kMergeAck) {
     // Answer with the *merged* stored state (the request carried only the
     // sender's local contribution): every replica applied the same joins,
     // so the answering replica's record is the converged global value.
-    if (const FlowRecord* rec = Find(request.key())) resp.state = rec->state;
+    if (const FlowRecord* rec = Find(request.key())) state = rec->state;
   }
   m_.responses.Add();
   if (trace().armed()) {
@@ -663,11 +668,14 @@ void StateStoreServer::Respond(const MsgView& request) {
     trace().Emit(obs::Ev::kTailCommit, net::HashPartitionKey(request.key()),
                  request.seq());
   }
-  SendMsg(request.reply_to(), resp);
+  SendMsg(request.reply_to(), resp, state);
 }
 
-void StateStoreServer::SendMsg(net::Ipv4Addr dst, const Msg& msg) {
-  net::Packet pkt = core::MakeProtocolPacket(ip_, dst, msg);
+void StateStoreServer::SendMsg(net::Ipv4Addr dst, const Msg& msg,
+                               std::span<const std::byte> state) {
+  assert(msg.state.empty());
+  net::Packet pkt =
+      core::MakeProtocolPacketRaw(ip_, dst, core::EncodeMsg(msg, state));
   if (msg.type == MsgType::kAck) {
     m_.resp_bytes_tx.Add(static_cast<double>(pkt.WireSize()));
   }
@@ -686,11 +694,11 @@ void StateStoreServer::PumpPendingInits(const net::PartitionKey& key) {
   // Grant to the first waiter whose blocker has lapsed; later waiters are
   // retried when this new lease lapses in turn.
   while (!it->second.empty()) {
-    if (LeaseActiveByOther(rec, it->second.front().msg.reply_to)) {
+    if (LeaseActiveByOther(rec, it->second.front().msg.reply_to())) {
       ArmInitPump(key, rec.lease_expiry + Microseconds(1));
       return;
     }
-    Msg msg = std::move(it->second.front().msg);
+    MsgView msg = std::move(it->second.front().msg);
     it->second.pop_front();
     HandleInit(std::move(msg));
   }

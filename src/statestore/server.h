@@ -172,7 +172,7 @@ class StateStoreServer : public sim::Node {
 
  private:
   struct PendingInit {
-    core::Msg msg;
+    core::MsgView msg;
   };
 
   void ProcessMsg(core::MsgView msg);
@@ -185,7 +185,7 @@ class StateStoreServer : public sim::Node {
   /// envelope once from the surviving sub views.
   void ProcessBatchEnvelope(net::BufferView frame);
 
-  void HandleInit(core::Msg msg);
+  void HandleInit(core::MsgView msg);
   void HandleRepl(core::MsgView msg);
   void HandleRenewOnly(core::MsgView msg);
   void HandleReadBuffer(core::MsgView msg);
@@ -206,12 +206,11 @@ class StateStoreServer : public sim::Node {
   /// Applies the (head-stamped) decision carried by a chain-internal
   /// message, then forwards down-chain or answers the switch.
   void ApplyAndContinue(core::MsgView msg);
-  /// Same, for a locally-built message: encodes it once, then runs the
-  /// view-based path (local apply + verbatim forwarding).
-  void ApplyAndContinue(core::Msg&& msg);
 
-  /// Sends `msg` to `dst` out of the server's uplink port (encodes once).
-  void SendMsg(net::Ipv4Addr dst, const core::Msg& msg);
+  /// Sends `msg` to `dst` out of the server's uplink port (encodes once),
+  /// with `state` as its state value (`msg.state` must be empty).
+  void SendMsg(net::Ipv4Addr dst, const core::Msg& msg,
+               std::span<const std::byte> state = {});
   /// Sends already-encoded protocol bytes verbatim — no copy, no encode.
   void SendRaw(net::Ipv4Addr dst, net::BufferView payload);
 

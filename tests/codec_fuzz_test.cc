@@ -390,7 +390,7 @@ TEST_P(CodecFuzz, BatchEnvelopeRoundTripsSubMessages) {
       EXPECT_TRUE(batch->at(s) == subs[s]);
       EXPECT_TRUE(core::MsgView::Parse(batch->at(s)).has_value());
       // The recovered slice shares the envelope's backing store (zero-copy).
-      EXPECT_EQ(batch->at(s).buffer().data(), env.buffer().data());
+      EXPECT_TRUE(batch->at(s).SharesBuffer(env));
     }
   }
 }
