@@ -3,18 +3,14 @@
 // On hardware this is the SRAM the paper charges in §7.4: a key-digest
 // table resolving the flow to a slot, plus register arrays holding the
 // lease expiration time, the current sequence number, and the last
-// acknowledged sequence number.  The model now keeps the same layout: an
-// open-addressed digest index maps a flow to a stable slot, and the four
-// hot fields live in separate dense arrays (`status_`, `lease_expiry_`,
-// `cur_seq_`, `last_acked_`) — one software lane per hardware register
-// array — so the per-packet path touches only the lanes it reads.
-// Everything the per-packet path does not need (the application state
-// blob, pending-send bookkeeping, renew-timer plumbing) sits in a parallel
-// cold array, the analogue of control-plane-managed SRAM.
-//
-// Slots are stable for the lifetime of an entry and carry a generation
-// that bumps on erase, so timer callbacks holding (slot, gen) detect
-// stale references without a side table.
+// acknowledged sequence number.  The digest index and the slot lifecycle
+// are the shared slot table of dataplane/slot_index.h (DESIGN.md §12); this
+// table keeps one slot per key and its own lanes: the four hot fields in
+// separate dense arrays (`status_`, `lease_expiry_`, `cur_seq_`,
+// `last_acked_`), one software lane per hardware register array, and
+// everything the per-packet path does not need (the application state
+// blob, pending-send bookkeeping, renew-timer plumbing) in a parallel cold
+// array, the analogue of control-plane-managed SRAM.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +19,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dataplane/slot_index.h"
 #include "net/flow.h"
 
 namespace redplane::core {
@@ -36,7 +33,7 @@ enum class FlowStatus : std::uint8_t {
 
 class FlowTable {
  public:
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNilSlot = dp::kNilSlot;
 
   /// Cold per-flow state: everything off the per-packet hot path.
   struct Cold {
@@ -115,7 +112,7 @@ class FlowTable {
   }
 
   void Erase(const net::PartitionKey& key);
-  std::size_t Size() const { return count_; }
+  std::size_t Size() const { return slots_.count(); }
 
   /// --- hot lanes (the §7.4 register arrays), addressed by slot ---
   FlowStatus status(std::uint32_t slot) const { return status_[slot]; }
@@ -151,9 +148,9 @@ class FlowTable {
 
   /// Generation of `slot`; bumps on erase so (slot, gen) pairs held by
   /// timers invalidate themselves.
-  std::uint32_t gen(std::uint32_t slot) const { return gen_[slot]; }
+  std::uint32_t gen(std::uint32_t slot) const { return slots_.gen(slot); }
   bool Alive(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < live_.size() && live_[slot] != 0 && gen_[slot] == gen;
+    return slots_.Alive(slot, gen);
   }
 
   /// Resets `slot` to a fresh kInitPending entry (re-init of an expired
@@ -163,9 +160,8 @@ class FlowTable {
   /// Visits every (key, FlowRef) pair — diagnostics and table dumps.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (std::uint32_t s = 0; s < live_.size(); ++s) {
-      if (live_[s] != 0) fn(cold_[s].key, FlowRef(this, s));
-    }
+    slots_.ForEachLive(
+        [&](std::uint32_t s) { fn(cold_[s].key, FlowRef(this, s)); });
   }
 
   /// Clears everything (switch failure: all SRAM state is lost).  The
@@ -198,41 +194,26 @@ class FlowTable {
   }
 
   /// Digest-index health for the load-factor / max-probe gauges.
-  struct IndexStats {
-    std::size_t capacity = 0;
-    std::size_t used = 0;
-    std::size_t max_probe = 0;  // longest probe chain over occupied cells
-  };
-  /// O(index capacity); sampled by the fleet time-series exporter, never on
-  /// the packet path.
-  IndexStats IndexStatsNow() const;
+  dp::IndexStats IndexStatsNow() const { return idx_.Stats(); }
 
  private:
   friend class FlowRef;
 
+  /// Index cell of `key` (digest match confirmed against the key lane),
+  /// or DigestIndex::kNoCell.
   std::size_t FindCell(std::uint64_t digest,
-                       const net::PartitionKey& key) const;
-  void EraseCell(std::size_t cell);
-  void GrowIndex();
+                       const net::PartitionKey& key) const {
+    return idx_.Find(digest,
+                     [&](std::uint32_t s) { return cold_[s].key == key; });
+  }
 
   std::vector<FlowStatus> status_;
   std::vector<SimTime> lease_expiry_;
   std::vector<std::uint64_t> cur_seq_;
   std::vector<std::uint64_t> last_acked_;
   std::vector<Cold> cold_;
-  std::vector<std::uint32_t> gen_;
-  std::vector<std::uint8_t> live_;
-  std::vector<std::uint32_t> free_link_;
-  std::uint32_t free_head_ = kNilSlot;
-  std::size_t count_ = 0;
-
-  /// Open-addressed digest index (linear probe, power-of-two capacity,
-  /// backward-shift deletion): cell = {digest, slot}; key equality is
-  /// confirmed against the cold blob, so digest collisions only cost an
-  /// extra probe.
-  std::vector<std::uint64_t> idx_digest_;
-  std::vector<std::uint32_t> idx_slot_;
-  std::size_t idx_used_ = 0;
+  dp::SlotPool slots_;
+  dp::DigestIndex idx_;
 };
 
 using FlowRef = FlowTable::FlowRef;

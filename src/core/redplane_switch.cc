@@ -21,10 +21,30 @@ obs::ProfSite g_prof_process("switch.process");
 obs::ProfSite g_prof_handle_ack("switch.handle_ack");
 obs::ProfSite g_prof_send_request("switch.send_request");
 
+/// Max loops through the network buffer while awaiting a lease grant
+/// before a packet is dropped (loss is permitted by the model).
+constexpr std::uint32_t kMaxInitLoops = 64;
+/// A pending replication batch flushes early once it holds this many
+/// encoded payload bytes (RedPlaneConfig::coalesce_max_msgs caps the
+/// count).
+constexpr std::size_t kCoalesceMaxBytes = 4096;
+
 /// Mirror-buffer sequence for one snapshot slot: unique per (round, index)
 /// and ordered so that acknowledging a slot clears superseded rounds too.
 std::uint64_t SnapSeq(std::uint64_t round, std::uint32_t index) {
   return (round << 20) | index;
+}
+
+/// Registers the `<name>_load` and `<name>_max_probe` gauges of one digest
+/// index; `stats_now` returns its dp::IndexStats.
+template <typename StatsNow>
+void AddIndexGauges(obs::MetricRegistry& stats, const std::string& name,
+                    StatsNow stats_now) {
+  stats.AddCallbackGauge(name + "_load",
+                         [stats_now] { return stats_now().load(); });
+  stats.AddCallbackGauge(name + "_max_probe", [stats_now] {
+    return static_cast<double>(stats_now().max_probe);
+  });
 }
 
 }  // namespace
@@ -90,26 +110,11 @@ RedPlaneSwitch::RedPlaneSwitch(
   stats_.AddCallbackGauge("mirror_occupancy_bytes", [this] {
     return static_cast<double>(node_.mirror().OccupancyBytes());
   });
-  // PR 7 SoA-table health: digest-index load factor and worst probe chain,
+  // Slot-table health: digest-index load factor and worst probe chain,
   // sampled on demand by the fleet time-series exporter (obs/timeseries.h).
-  stats_.AddCallbackGauge("flow_idx_load", [this] {
-    const auto s = flows_.IndexStatsNow();
-    return s.capacity == 0 ? 0.0
-                           : static_cast<double>(s.used) /
-                                 static_cast<double>(s.capacity);
-  });
-  stats_.AddCallbackGauge("flow_idx_max_probe", [this] {
-    return static_cast<double>(flows_.IndexStatsNow().max_probe);
-  });
-  stats_.AddCallbackGauge("mirror_idx_load", [this] {
-    const auto s = node_.mirror().IndexStatsNow();
-    return s.capacity == 0 ? 0.0
-                           : static_cast<double>(s.used) /
-                                 static_cast<double>(s.capacity);
-  });
-  stats_.AddCallbackGauge("mirror_idx_max_probe", [this] {
-    return static_cast<double>(node_.mirror().IndexStatsNow().max_probe);
-  });
+  AddIndexGauges(stats_, "flow_idx", [this] { return flows_.IndexStatsNow(); });
+  AddIndexGauges(stats_, "mirror_idx",
+                 [this] { return node_.mirror().IndexStatsNow(); });
 }
 
 RedPlaneSwitch::~RedPlaneSwitch() = default;
@@ -574,7 +579,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
             flows_.status(slot) == FlowStatus::kInitPending) {
           // Still no lease (e.g. a control-plane install in progress):
           // loop again, bounded per packet.
-          if (msg.snapshot_index() >= config_.max_init_loops) {
+          if (msg.snapshot_index() >= kMaxInitLoops) {
             m_.init_loop_drops.Add();
             if (trace_.armed()) {
               trace_.Emit(obs::Ev::kOutputDropped, net::HashPartitionKey(key),
@@ -748,15 +753,21 @@ void RedPlaneSwitch::SendRequest(const Msg& msg,
         msg.key, mirror_seq, std::move(mdata), node_.sim().Now());
     ArmMirrorTimer(h);
   }
+  Transmit(shard, msg.type, std::move(payload));
+}
+
+void RedPlaneSwitch::Transmit(net::Ipv4Addr shard,
+                              std::optional<MsgType> type,
+                              net::BufferView bytes) {
   // Replication traffic (writes and renewals) coalesces per shard when
   // enabled; everything else — and everything when coalesce_delay is 0 —
   // leaves immediately as its own packet.
-  if (config_.coalesce_delay > 0 && (msg.type == MsgType::kLeaseRenewReq ||
-                                     msg.type == MsgType::kLeaseRenewOnly)) {
-    EnqueueForBatch(shard, net::BufferView{std::move(payload)});
+  if (config_.coalesce_delay > 0 && (type == MsgType::kLeaseRenewReq ||
+                                     type == MsgType::kLeaseRenewOnly)) {
+    EnqueueForBatch(shard, std::move(bytes));
     return;
   }
-  net::Packet pkt = MakeProtocolPacketRaw(node_.ip(), shard, payload);
+  net::Packet pkt = MakeProtocolPacketRaw(node_.ip(), shard, std::move(bytes));
   m_.req_bytes.Add(static_cast<double>(pkt.WireSize()));
   node_.ForwardPacket(std::move(pkt), kInvalidPort);
 }
@@ -778,7 +789,7 @@ void RedPlaneSwitch::EnqueueForBatch(net::Ipv4Addr shard,
   b.bytes += msg.size();
   b.msgs.push_back(std::move(msg));
   if (b.msgs.size() >= config_.coalesce_max_msgs ||
-      b.bytes >= config_.coalesce_max_bytes) {
+      b.bytes >= kCoalesceMaxBytes) {
     FlushBatch(shard);
   }
 }
@@ -791,26 +802,24 @@ void RedPlaneSwitch::FlushBatch(net::Ipv4Addr shard) {
   if (b.msgs.empty()) return;
   m_.coalesce_wait_us.Record(
       static_cast<double>(node_.sim().Now() - b.opened_at) / 1e3);
-  net::Packet pkt;
+  net::BufferView out;
   if (b.msgs.size() == 1) {
     // A lone message goes out unwrapped: same bytes as per-packet mode.
-    pkt = MakeProtocolPacketRaw(node_.ip(), shard, std::move(b.msgs.front()));
+    out = std::move(b.msgs.front());
   } else {
-    net::BufferView env = net::EncodeBatchEnvelope(b.msgs);
+    out = net::EncodeBatchEnvelope(b.msgs);
     m_.batch_envelopes.Add();
     m_.batch_msgs.Record(static_cast<double>(b.msgs.size()));
-    m_.batch_bytes.Record(static_cast<double>(env.size()));
+    m_.batch_bytes.Record(static_cast<double>(out.size()));
     if (trace_.armed()) {
       trace_.Emit(obs::Ev::kBatchFlushed, shard.value,
                   static_cast<std::uint64_t>(b.msgs.size()),
-                  static_cast<double>(env.size()));
+                  static_cast<double>(out.size()));
     }
-    pkt = MakeProtocolPacketRaw(node_.ip(), shard, std::move(env));
   }
   b.msgs.clear();
   b.bytes = 0;
-  m_.req_bytes.Add(static_cast<double>(pkt.WireSize()));
-  node_.ForwardPacket(std::move(pkt), kInvalidPort);
+  Transmit(shard, std::nullopt, std::move(out));
 }
 
 void RedPlaneSwitch::ArmMirrorTimer(dp::MirrorTable::Handle h) {
@@ -858,15 +867,7 @@ void RedPlaneSwitch::OnMirrorTimeout(dp::MirrorTable::Handle h) {
                 mirror.seq(h), static_cast<double>(mirror.retx_count(h)),
                 msg->span_id());
   }
-  const net::Ipv4Addr shard = shard_for_(msg->key());
-  if (config_.coalesce_delay > 0 && (msg->type() == MsgType::kLeaseRenewReq ||
-                                     msg->type() == MsgType::kLeaseRenewOnly)) {
-    EnqueueForBatch(shard, mirror.data(h));
-  } else {
-    net::Packet pkt = MakeProtocolPacketRaw(node_.ip(), shard, mirror.data(h));
-    m_.req_bytes.Add(static_cast<double>(pkt.WireSize()));
-    node_.ForwardPacket(std::move(pkt), kInvalidPort);
-  }
+  Transmit(shard_for_(msg->key()), msg->type(), mirror.data(h));
   ArmMirrorTimer(h);
 }
 

@@ -47,10 +47,6 @@ struct RedPlaneConfig {
   SimDuration renew_interval = Milliseconds(500);
   /// Retransmit an unacknowledged request after this long.
   SimDuration request_timeout = Microseconds(500);
-  /// Unused since retransmission moved to per-entry timers (each mirrored
-  /// request carries its own deadline in the simulator's timing wheel);
-  /// retained so existing configs keep compiling.
-  SimDuration retx_scan_interval = Microseconds(100);
   /// Mirror truncation: bytes of a request kept for retransmission
   /// (replication header + state value; never the piggybacked output
   /// unless mirror_include_piggyback is set).
@@ -69,19 +65,15 @@ struct RedPlaneConfig {
   SimDuration snapshot_period = Milliseconds(1);
   /// ε bound for the inconsistency tracker.
   SimDuration epsilon_bound = Milliseconds(10);
-  /// Max loops through the network buffer while awaiting a lease grant
-  /// before a packet is dropped (loss is permitted by the model).
-  std::uint32_t max_init_loops = 64;
   /// --- replication coalescing (batch envelope, DESIGN.md §10) ---
   /// Hold outgoing write-replication (kLeaseRenewReq) and renew-only
   /// requests to the same shard for up to this long, then flush them as one
   /// batch envelope.  0 (the default) disables coalescing: every request
   /// leaves immediately as its own packet, bit-for-bit today's behaviour.
   SimDuration coalesce_delay = 0;
-  /// Flush a pending batch early once it holds this many sub-messages...
+  /// Flush a pending batch early once it holds this many sub-messages (or
+  /// kCoalesceMaxBytes of encoded payload, redplane_switch.cc).
   std::size_t coalesce_max_msgs = 16;
-  /// ...or this many encoded payload bytes.
-  std::size_t coalesce_max_bytes = 4096;
   /// TEST-ONLY protocol mutation: inflates the switch's believed lease
   /// expiry by this much beyond the conservative send-time derivation,
   /// breaking the invariant that the switch never outlives the store's
@@ -169,6 +161,12 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   /// straight from where it lives (`msg.state` must be empty).
   void SendRequest(const Msg& msg, std::span<const std::byte> state,
                    bool mirror);
+
+  /// Sends encoded request bytes of `type` to `shard`: write replication and
+  /// renewals join the shard's pending batch when coalesce_delay > 0, all
+  /// else leaves now as its own packet.  A flushed batch passes nullopt.
+  void Transmit(net::Ipv4Addr shard, std::optional<MsgType> type,
+                net::BufferView bytes);
 
   /// Appends an encoded request to the shard's pending batch, scheduling a
   /// flush after coalesce_delay (or flushing now on a count/byte cap).

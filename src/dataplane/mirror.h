@@ -6,17 +6,16 @@
 // a buffer charged against the switch's packet buffer and reports the peak
 // occupancy (reproducing Fig. 15).
 //
-// Storage is struct-of-arrays over stable slot indices — the software
-// analogue of the per-entry register arrays the paper sizes in §7.4: the
-// sequence-number array, the timestamp arrays, and the payload handles are
-// separate dense vectors, so the retransmit path touches only the lanes it
-// needs.  Slots are addressed by Handle{slot, gen}; the generation bumps on
-// release, making a stale handle (entry acked while its retransmit timer
-// was in flight) a detectable no-op.  Entries of one flow are linked into
-// an intrusive chain reached through an open-addressed digest index, so a
-// cumulative ack touches O(entries of that flow), never the whole table —
-// there is deliberately no whole-table scan on any per-packet or per-timer
-// path.
+// Storage is the shared slot table of dataplane/slot_index.h (DESIGN.md
+// §12) plus this table's own lanes: the sequence-number array, the
+// timestamp arrays, and the payload handles are separate dense vectors, so
+// the retransmit path touches only the lanes it needs.  Entries are
+// addressed by Handle{slot, gen}, so a stale handle (entry acked while its
+// retransmit timer was in flight) is a detectable no-op.  The index keeps
+// one cell per digest, at the head of an intrusive chain of that flow's
+// entries, so a cumulative ack touches O(entries of that flow), never the
+// whole table; there is deliberately no whole-table scan on any per-packet
+// or per-timer path.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dataplane/slot_index.h"
 #include "net/buffer.h"
 #include "net/flow.h"
 #include "obs/tracer.h"
@@ -33,8 +33,6 @@ namespace redplane::dp {
 
 class MirrorTable {
  public:
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-
   /// Stable reference to a mirrored entry.  `gen` must match the slot's
   /// current generation for the handle to be live; a released-and-reused
   /// slot bumps the generation, so stale handles are safely detectable.
@@ -69,17 +67,17 @@ class MirrorTable {
   template <typename OnRelease>
   void Acknowledge(const net::PartitionKey& key, std::uint64_t acked_seq,
                    OnRelease&& on_release) {
-    if (count_ == 0) return;
-    const std::size_t cell = FindCell(net::HashPartitionKey(key));
-    if (cell == SIZE_MAX) return;
+    if (slots_.count() == 0) return;
+    const std::size_t cell = idx_.Find(net::HashPartitionKey(key));
+    if (cell == DigestIndex::kNoCell) return;
     std::size_t cleared = 0;
-    std::uint32_t slot = idx_head_[cell];
+    std::uint32_t slot = idx_.slot(cell);
     while (slot != kNilSlot) {
-      const std::uint32_t next = fnext_[slot];
+      const std::uint32_t next = slots_.link(slot);
       // The chain is per digest; confirm the key (collisions cost a
       // compare, never correctness) and apply the cumulative-ack filter.
       if (seq_[slot] <= acked_seq && keys_[slot] == key) {
-        on_release(Handle{slot, gen_[slot]}, timer_[slot]);
+        on_release(Handle{slot, slots_.gen(slot)}, timer_[slot]);
         ReleaseSlot(slot, cell);
         ++cleared;
       }
@@ -98,16 +96,11 @@ class MirrorTable {
   /// indirection on the (bench-only, post-refactor) scan path.
   template <typename Fn>
   void ForEach(Fn&& fn) {
-    for (std::uint32_t s = 0; s < live_.size(); ++s) {
-      if (live_[s] != 0) fn(Handle{s, gen_[s]});
-    }
+    slots_.ForEachLive([&](std::uint32_t s) { fn(Handle{s, slots_.gen(s)}); });
   }
 
   /// --- per-entry lanes (handle must be live; see Alive()) ---
-  bool Alive(Handle h) const {
-    return h.slot < live_.size() && live_[h.slot] != 0 &&
-           gen_[h.slot] == h.gen;
-  }
+  bool Alive(Handle h) const { return slots_.Alive(h.slot, h.gen); }
   const net::PartitionKey& key(Handle h) const { return keys_[h.slot]; }
   std::uint64_t seq(Handle h) const { return seq_[h.slot]; }
   const net::BufferView& data(Handle h) const { return data_[h.slot]; }
@@ -123,40 +116,28 @@ class MirrorTable {
   void set_timer(Handle h, std::uint64_t id) { timer_[h.slot] = id; }
 
   /// Digest-index health for the load-factor / max-probe gauges.
-  struct IndexStats {
-    std::size_t capacity = 0;
-    std::size_t used = 0;
-    std::size_t max_probe = 0;  // longest probe chain over occupied cells
-  };
-  /// O(index capacity); sampled by the fleet time-series exporter, never on
-  /// the packet path.
-  IndexStats IndexStatsNow() const;
+  IndexStats IndexStatsNow() const { return idx_.Stats(); }
 
   /// Current buffer occupancy in bytes.
   std::size_t OccupancyBytes() const { return occupancy_; }
   /// High-water mark since construction/reset.
   std::size_t PeakOccupancyBytes() const { return peak_; }
-  std::size_t NumEntries() const { return count_; }
+  std::size_t NumEntries() const { return slots_.count(); }
 
   void ResetPeak() { peak_ = occupancy_; }
 
   /// Clears everything (switch failure); `on_release(Handle, timer)` runs
-  /// per entry so the owner can cancel retransmit timers in one pass.
+  /// per entry so the owner can cancel retransmit timers in one pass.  The
+  /// slots stay allocated (released, generations bumped) and the index
+  /// keeps its capacity.
   template <typename OnRelease>
   void Reset(OnRelease&& on_release) {
-    for (std::uint32_t s = 0; s < live_.size(); ++s) {
-      if (live_[s] == 0) continue;
-      on_release(Handle{s, gen_[s]}, timer_[s]);
+    slots_.ForEachLive([&](std::uint32_t s) {
+      on_release(Handle{s, slots_.gen(s)}, timer_[s]);
       data_[s].clear();
-      live_[s] = 0;
-      ++gen_[s];
-      fnext_[s] = free_head_;
-      free_head_ = s;
-    }
-    idx_digest_.assign(idx_digest_.size(), 0);
-    idx_head_.assign(idx_head_.size(), kNilSlot);
-    idx_used_ = 0;
-    count_ = 0;
+      slots_.Release(s);
+    });
+    idx_.Clear();
     occupancy_ = 0;
     peak_ = 0;
   }
@@ -165,16 +146,9 @@ class MirrorTable {
   }
 
  private:
-  /// Index cell holding `digest`, or SIZE_MAX when absent.
-  std::size_t FindCell(std::uint64_t digest) const;
-  /// Index cell holding `digest`, inserting an empty chain if absent
-  /// (grows + rehashes the index at 70% load).
-  std::size_t FindOrInsertCell(std::uint64_t digest);
   /// Unlinks `slot` from its flow chain (index cell `cell`), erasing the
-  /// cell via backward-shift when the chain empties, and frees the slot.
+  /// cell when the chain empties, and frees the slot.
   void ReleaseSlot(std::uint32_t slot, std::size_t cell);
-  void EraseCell(std::size_t cell);
-  void GrowIndex();
 
   std::string name_;
   std::size_t truncate_to_;
@@ -188,19 +162,12 @@ class MirrorTable {
   std::vector<SimTime> last_sent_;
   std::vector<std::uint32_t> retx_;
   std::vector<std::uint64_t> timer_;
-  std::vector<std::uint32_t> gen_;
-  std::vector<std::uint8_t> live_;
-  /// Intrusive per-flow chain links; fnext_ doubles as the free list.
+  /// Intrusive per-flow chains: the next link is the pool's link lane, the
+  /// previous link is fprev_.
   std::vector<std::uint32_t> fprev_;
-  std::vector<std::uint32_t> fnext_;
-  std::uint32_t free_head_ = kNilSlot;
-  std::size_t count_ = 0;
-
-  /// Open-addressed digest index (linear probe, power-of-two capacity,
-  /// backward-shift deletion): digest -> chain head slot.
-  std::vector<std::uint64_t> idx_digest_;
-  std::vector<std::uint32_t> idx_head_;
-  std::size_t idx_used_ = 0;
+  SlotPool slots_;
+  /// digest -> chain head slot.
+  DigestIndex idx_;
 
   std::size_t occupancy_ = 0;
   std::size_t peak_ = 0;

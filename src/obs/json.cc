@@ -46,151 +46,8 @@ std::string JsonNumber(double v) {
 
 namespace {
 
-/// Recursive-descent JSON syntax checker.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  bool ParseDocument() {
-    SkipWs();
-    if (!ParseValue()) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-  bool Consume(char c) {
-    if (AtEnd() || Peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void SkipWs() {
-    while (!AtEnd() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\n' ||
-                        Peek() == '\r')) {
-      ++pos_;
-    }
-  }
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool ParseValue() {
-    if (depth_ > 512 || AtEnd()) return false;
-    switch (Peek()) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': return ParseString();
-      case 't': return ConsumeLiteral("true");
-      case 'f': return ConsumeLiteral("false");
-      case 'n': return ConsumeLiteral("null");
-      default: return ParseNumber();
-    }
-  }
-
-  bool ParseObject() {
-    ++depth_;
-    if (!Consume('{')) return false;
-    SkipWs();
-    if (Consume('}')) { --depth_; return true; }
-    while (true) {
-      SkipWs();
-      if (!ParseString()) return false;
-      SkipWs();
-      if (!Consume(':')) return false;
-      SkipWs();
-      if (!ParseValue()) return false;
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume('}')) { --depth_; return true; }
-      return false;
-    }
-  }
-
-  bool ParseArray() {
-    ++depth_;
-    if (!Consume('[')) return false;
-    SkipWs();
-    if (Consume(']')) { --depth_; return true; }
-    while (true) {
-      SkipWs();
-      if (!ParseValue()) return false;
-      SkipWs();
-      if (Consume(',')) continue;
-      if (Consume(']')) { --depth_; return true; }
-      return false;
-    }
-  }
-
-  bool ParseString() {
-    if (!Consume('"')) return false;
-    while (!AtEnd()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (AtEnd()) return false;
-        char e = text_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (AtEnd() || !std::isxdigit(static_cast<unsigned char>(
-                               text_[pos_]))) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      }
-    }
-    return false;
-  }
-
-  bool ParseNumber() {
-    const std::size_t start = pos_;
-    if (Consume('-')) {}
-    if (AtEnd()) return false;
-    if (Consume('0')) {
-      // no leading zeros
-    } else {
-      if (!std::isdigit(static_cast<unsigned char>(Peek()))) return false;
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    }
-    if (!AtEnd() && Peek() == '.') {
-      ++pos_;
-      if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) return false;
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    }
-    if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
-      ++pos_;
-      if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos_;
-      if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) return false;
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-}  // namespace
-
-bool ValidateJson(std::string_view text) {
-  return Parser(text).ParseDocument();
-}
-
-namespace {
-
-/// Recursive-descent parser building JsonValues.  Same grammar as the
-/// validator; kept separate so the hot ValidateJson path allocates nothing.
+/// Recursive-descent parser building JsonValues (RFC 8259 grammar).  A
+/// document nests at most 512 values deep, counting the innermost scalar.
 class ValueParser {
  public:
   explicit ValueParser(std::string_view text) : text_(text) {}
@@ -352,19 +209,23 @@ class ValueParser {
 
   bool ParseNumber(double& out) {
     const std::size_t start = pos_;
-    if (!AtEnd() && Peek() == '-') ++pos_;
-    while (!AtEnd() && (std::isdigit(static_cast<unsigned char>(Peek())) ||
-                        Peek() == '.' || Peek() == 'e' || Peek() == 'E' ||
-                        Peek() == '+' || Peek() == '-')) {
-      ++pos_;
+    Consume('-');
+    // int = "0" / [1-9] digit*; frac = "." digit+; exp = [eE] [+-] digit+.
+    if (!Consume('0') && !ConsumeDigits()) return false;
+    if (Consume('.') && !ConsumeDigits()) return false;
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!ConsumeDigits()) return false;
     }
-    if (pos_ == start) return false;
-    // Re-check strict syntax with the validator's number grammar, then let
-    // strtod produce the value.
-    const std::string token(text_.substr(start, pos_ - start));
-    if (!ValidateJson(token)) return false;
-    out = std::strtod(token.c_str(), nullptr);
+    out = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
+                      nullptr);
     return true;
+  }
+  /// Consumes one or more decimal digits.
+  bool ConsumeDigits() {
+    const std::size_t start = pos_;
+    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
+    return pos_ > start;
   }
 
   std::string_view text_;
@@ -376,6 +237,10 @@ class ValueParser {
 
 std::optional<JsonValue> ParseJson(std::string_view text) {
   return ValueParser(text).ParseDocument();
+}
+
+bool ValidateJson(std::string_view text) {
+  return ParseJson(text).has_value();
 }
 
 }  // namespace redplane::obs

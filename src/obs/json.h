@@ -4,8 +4,8 @@
 // dependency); these helpers keep the escaping and number formatting in one
 // place, byte-stable across runs (no locale, no pointer-derived ordering) so
 // that identical simulations produce identical export files.  ValidateJson is
-// a strict syntax checker used by tests to guarantee the emitted documents
-// parse.
+// the strict syntax check tests use to guarantee the emitted documents
+// parse; it runs ParseJson, so the two always agree.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,8 @@ std::string JsonEscape(std::string_view s);
 std::string JsonNumber(double v);
 
 /// Strict JSON syntax check over a complete document.  Returns true iff
-/// `text` is one valid JSON value (with surrounding whitespace allowed).
+/// `text` is one valid JSON value (with surrounding whitespace allowed):
+/// ParseJson(text).has_value().
 bool ValidateJson(std::string_view text);
 
 /// Parsed JSON value.  Objects keep insertion order (a vector of pairs, not

@@ -7,6 +7,7 @@
 #include "core/flow_table.h"
 #include "core/protocol.h"
 #include "core/redplane_switch.h"
+#include "dataplane/mirror.h"
 #include "net/codec.h"
 #include "routing/failure.h"
 #include "routing/topology.h"
@@ -94,6 +95,50 @@ TEST(FlowTableTest, SlotsAreStableAndGenerationsDetectReuse) {
   EXPECT_FALSE(table.Alive(sa, gen_a));
   EXPECT_TRUE(table.Alive(sc, table.gen(sc)));
   EXPECT_EQ(table.FindSlot(b), sb);
+}
+
+TEST(MirrorTableTest, SlotsAreStableAndGenerationsDetectReuse) {
+  dp::MirrorTable mirror("m", 64);
+  const auto a = net::PartitionKey::OfObject(10);
+  const auto b = net::PartitionKey::OfObject(11);
+  const auto ha = mirror.Mirror(a, 1, std::vector<std::byte>(8), 0);
+  const auto hb = mirror.Mirror(b, 1, std::vector<std::byte>(8), 0);
+  ASSERT_NE(ha.slot, hb.slot);
+  EXPECT_TRUE(mirror.Alive(ha));
+  mirror.Acknowledge(a, 1);
+  EXPECT_FALSE(mirror.Alive(ha));
+  // The freed slot is recycled with a bumped generation.
+  const auto hc =
+      mirror.Mirror(net::PartitionKey::OfObject(12), 2,
+                    std::vector<std::byte>(8), 0);
+  EXPECT_EQ(hc.slot, ha.slot);
+  EXPECT_NE(hc.gen, ha.gen);
+  EXPECT_FALSE(mirror.Alive(ha));
+  EXPECT_TRUE(mirror.Alive(hc));
+  EXPECT_EQ(mirror.seq(hc), 2u);
+  EXPECT_TRUE(mirror.Alive(hb));
+  EXPECT_EQ(mirror.key(hb), b);
+}
+
+TEST(SlotTableResetTest, FlowTableDropsItsIndexMirrorKeepsItsCapacity) {
+  core::FlowTable table;
+  dp::MirrorTable mirror("m", 64);
+  std::vector<dp::MirrorTable::Handle> handles;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    table.GetOrCreateSlot(net::PartitionKey::OfObject(i));
+    handles.push_back(mirror.Mirror(net::PartitionKey::OfObject(i), 1,
+                                    std::vector<std::byte>(8), 0));
+  }
+  EXPECT_EQ(table.IndexStatsNow().capacity, 32u);
+  EXPECT_EQ(mirror.IndexStatsNow().capacity, 32u);
+  table.Reset();
+  mirror.Reset();
+  EXPECT_EQ(table.IndexStatsNow().capacity, 0u);
+  EXPECT_EQ(table.Size(), 0u);
+  EXPECT_EQ(mirror.IndexStatsNow().capacity, 32u);
+  EXPECT_EQ(mirror.IndexStatsNow().used, 0u);
+  EXPECT_EQ(mirror.NumEntries(), 0u);
+  for (const auto& h : handles) EXPECT_FALSE(mirror.Alive(h));
 }
 
 TEST(StoreEdgeTest, NonProtocolAndMalformedPacketsCounted) {

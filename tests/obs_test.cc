@@ -573,13 +573,46 @@ TEST(JsonTest, ParserRoundTripsExports) {
 }
 
 TEST(JsonTest, ValidatorAcceptsAndRejects) {
-  EXPECT_TRUE(obs::ValidateJson("{\"a\": [1, 2.5, -3e2, \"x\\n\", true, null]}"));
-  EXPECT_TRUE(obs::ValidateJson("[]"));
-  EXPECT_FALSE(obs::ValidateJson("{\"a\": }"));
-  EXPECT_FALSE(obs::ValidateJson("{'a': 1}"));
-  EXPECT_FALSE(obs::ValidateJson("[1, 2,]"));
-  EXPECT_FALSE(obs::ValidateJson("{\"a\": 1} trailing"));
-  EXPECT_FALSE(obs::ValidateJson("01"));
+  const auto nested = [](int depth, std::string_view inner) {
+    return std::string(depth, '[') + std::string(inner) +
+           std::string(depth, ']');
+  };
+  const struct {
+    std::string text;
+    bool valid;
+  } cases[] = {
+      {"{\"a\": [1, 2.5, -3e2, \"x\\n\", true, null]}", true},
+      {"[]", true},
+      {"0", true},
+      {"-0.5e+7", true},
+      {"1E-2", true},
+      {"\"\\u00e9\\/\"", true},
+      {"{\"a\": }", false},
+      {"{'a': 1}", false},
+      {"[1, 2,]", false},
+      {"{\"a\": 1} trailing", false},
+      {"01", false},
+      {"1.", false},
+      {".5", false},
+      {"-", false},
+      {"1e", false},
+      {"1e+", false},
+      {"[1-2]", false},
+      {"\"\\x\"", false},
+      {"\"\\u12G4\"", false},
+      {"\"a\tb\"", false},
+      {std::string("\"a") + '\0' + "b\"", false},
+      {"\"a\x1f\"", false},
+      // The nesting limit: 512 values deep, the innermost one included.
+      {nested(512, ""), true},
+      {nested(511, "1"), true},
+      {nested(513, ""), false},
+      {nested(512, "1"), false},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(obs::ValidateJson(c.text), c.valid) << c.text;
+    EXPECT_EQ(obs::ParseJson(c.text).has_value(), c.valid) << c.text;
+  }
 }
 
 TEST(JsonTest, NumberFormatting) {
