@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/protocol.h"
+#include "obs/tracer.h"
 #include "sim/host.h"
 #include "sim/network.h"
 #include "statestore/partition.h"
@@ -183,15 +184,104 @@ TEST(StateStoreTest, DuplicateWriteIdempotent) {
   EXPECT_EQ(h.acks_[0][2].seq, 1u);  // duplicate still acked
 }
 
-TEST(StateStoreTest, WriteDeniedWhileOtherSwitchHoldsLease) {
+// --- deny paths: each answers one kLeaseDenied ack and emits one
+// kStoreDenied event carrying the request's span id ---
+
+/// Arms a tracer on the harness clock for the life of the test.
+struct DenyTrace {
+  explicit DenyTrace(StoreHarness& h) {
+    tracer.SetClock([&h] { return h.sim_.Now(); });
+    tracer.SetEnabled(true);
+    obs::SetGlobalTracer(&tracer);
+  }
+  std::vector<obs::TraceRecord> Denied() const {
+    std::vector<obs::TraceRecord> out;
+    for (const obs::TraceRecord& r : tracer.Records()) {
+      if (r.ev == obs::Ev::kStoreDenied) out.push_back(r);
+    }
+    return out;
+  }
+  obs::Tracer tracer;  // uninstalls itself on destruction
+};
+
+/// Asserts switch `sw` got exactly one ack, a denial carrying `ack_seq`,
+/// and the store emitted exactly one kStoreDenied for `key` with `span`
+/// and `event_seq`.
+void ExpectOneDenial(const StoreHarness& h, const DenyTrace& trace, int sw,
+                     int key, std::uint64_t span, std::uint64_t ack_seq,
+                     std::uint64_t event_seq) {
+  ASSERT_EQ(h.acks_[sw].size(), 1u);
+  EXPECT_EQ(h.acks_[sw][0].ack, AckKind::kLeaseDenied);
+  EXPECT_EQ(h.acks_[sw][0].seq, ack_seq);
+  EXPECT_EQ(h.acks_[sw][0].span_id, span);
+  const auto denied = trace.Denied();
+  ASSERT_EQ(denied.size(), 1u);
+  EXPECT_EQ(denied[0].flow, net::HashPartitionKey(Key(key)));
+  EXPECT_EQ(denied[0].span, span);
+  EXPECT_EQ(denied[0].seq, event_seq);
+  EXPECT_DOUBLE_EQ(h.servers_[0]->counters().Get("lease_denied"), 1.0);
+}
+
+TEST(StoreDenyTest, FlowTableCapDeniesNewFlow) {
   StoreHarness h(1);
+  DenyTrace trace(h);
+  h.servers_[0]->SetMaxFlows(1);
+  h.Send(1, h.MakeInit(1));
+  h.sim_.Run();
+  Msg init = h.MakeInit(2);
+  init.seq = 9;  // an Init denial reports seq 0 whatever the request carries
+  init.span_id = 41;
+  h.Send(0, init);
+  h.sim_.Run();
+  ExpectOneDenial(h, trace, 0, 2, 41, /*ack_seq=*/0, /*event_seq=*/0);
+  EXPECT_EQ(h.servers_[0]->Find(Key(2)), nullptr);
+}
+
+TEST(StoreDenyTest, FullInitBufferDeniesInit) {
+  StoreConfig cfg;
+  cfg.max_buffered_inits = 0;
+  StoreHarness h(1, cfg);
+  DenyTrace trace(h);
   h.Send(0, h.MakeInit(1));
   h.sim_.Run();
-  h.Send(1, h.MakeWrite(1, 5, 0x55));
+  h.Send(0, h.MakeWrite(1, 1, 0x11));
   h.sim_.Run();
-  ASSERT_EQ(h.acks_[1].size(), 1u);
-  EXPECT_EQ(h.acks_[1][0].ack, AckKind::kLeaseDenied);
+  Msg init = h.MakeInit(1);
+  init.seq = 9;
+  init.span_id = 42;
+  h.Send(1, init);
+  h.sim_.Run();
+  ExpectOneDenial(h, trace, 1, 1, 42, /*ack_seq=*/1, /*event_seq=*/0);
+}
+
+TEST(StateStoreTest, WriteDeniedWhileOtherSwitchHoldsLease) {
+  StoreHarness h(1);
+  DenyTrace trace(h);
+  h.Send(0, h.MakeInit(1));
+  h.sim_.Run();
+  Msg write = h.MakeWrite(1, 5, 0x55);
+  write.span_id = 43;
+  h.Send(1, write);
+  h.sim_.Run();
+  ExpectOneDenial(h, trace, 1, 1, 43, /*ack_seq=*/0, /*event_seq=*/5);
   EXPECT_EQ(h.servers_[0]->Find(Key(1))->last_applied_seq, 0u);
+}
+
+TEST(StoreDenyTest, RenewDeniedWhileOtherSwitchHoldsLease) {
+  StoreHarness h(1);
+  DenyTrace trace(h);
+  h.Send(0, h.MakeInit(1));
+  h.sim_.Run();
+  h.Send(0, h.MakeWrite(1, 1, 0x11));
+  h.sim_.Run();
+  Msg renew;
+  renew.type = MsgType::kLeaseRenewOnly;
+  renew.key = Key(1);
+  renew.seq = 7;
+  renew.span_id = 44;
+  h.Send(1, renew);
+  h.sim_.Run();
+  ExpectOneDenial(h, trace, 1, 1, 44, /*ack_seq=*/1, /*event_seq=*/7);
 }
 
 class ChainSizes : public ::testing::TestWithParam<int> {};
