@@ -68,7 +68,10 @@ enum class Ev : std::uint8_t {
   kStoreApplied,      // write applied to the store's flow record
   kStoreBuffered,     // init buffered behind an unexpired lease
   kStoreReadParked,   // buffered read parked behind in-flight writes
-  kStoreDenied,       // store rejected a request (stale / misdirected)
+  kStoreDenied,       // store refused a request: answered kLeaseDenied
+                      //   (another switch holds the lease, the Init buffer
+                      //   is full, or the flow-table cap is reached), or
+                      //   dropped it unanswered at a non-head replica
   kStoreResponded,    // store sent its response/ack
   kDupAckDurable,     // stale write filtered; its ack confirms seq durable
                       //   (aux = the filtered write's seq)

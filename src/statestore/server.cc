@@ -282,18 +282,23 @@ bool StateStoreServer::LeaseActiveByOther(const FlowRecord& rec,
          rec.lease_expiry > sim_.Now();
 }
 
-void StateStoreServer::SendDeny(const net::PartitionKey& key,
-                                net::Ipv4Addr requester,
-                                std::uint64_t last_applied_seq,
-                                std::uint64_t span) {
+void StateStoreServer::SendDeny(const MsgView& request,
+                                std::uint64_t last_applied_seq) {
   Msg deny;
   deny.type = MsgType::kAck;
   deny.ack = AckKind::kLeaseDenied;
-  deny.key = key;
+  deny.key = request.key();
   deny.seq = last_applied_seq;
-  deny.span_id = span;
-  SendMsg(requester, deny);
+  deny.span_id = request.span_id();
+  SendMsg(request.reply_to(), deny);
   m_.lease_denied.Add();
+  if (trace().armed()) {
+    // An Init carries no write, so its denial reports seq 0.
+    const std::uint64_t seq =
+        request.type() == MsgType::kLeaseNewReq ? 0 : request.seq();
+    trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(request.key()),
+                 seq, 0.0, request.span_id());
+  }
 }
 
 SimDuration StateStoreServer::EffectiveServiceTime() const {
@@ -308,11 +313,7 @@ void StateStoreServer::HandleInit(MsgView msg) {
   // table is denied outright — the switch's deny path, not a timeout.
   if (max_flows_ > 0 && flows_.size() >= max_flows_ &&
       flows_.find(msg.key()) == flows_.end()) {
-    SendDeny(msg.key(), msg.reply_to(), 0, msg.span_id());
-    if (trace().armed()) {
-      trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()), 0,
-                   0.0, msg.span_id());
-    }
+    SendDeny(msg, 0);
     return;
   }
   FlowRecord& rec = GetOrCreate(msg.key());
@@ -328,11 +329,7 @@ void StateStoreServer::HandleInit(MsgView msg) {
       }
     }
     if (queue.size() >= config_.max_buffered_inits) {
-      SendDeny(msg.key(), msg.reply_to(), rec.last_applied_seq, msg.span_id());
-      if (trace().armed()) {
-        trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
-                     0, 0.0, msg.span_id());
-      }
+      SendDeny(msg, rec.last_applied_seq);
       return;
     }
     const net::PartitionKey key = msg.key();
@@ -377,11 +374,7 @@ void StateStoreServer::HandleRepl(MsgView msg) {
   m_.repl_reqs.Add();
   FlowRecord& rec = GetOrCreate(msg.key());
   if (LeaseActiveByOther(rec, msg.reply_to())) {
-    SendDeny(msg.key(), msg.reply_to(), rec.last_applied_seq, msg.span_id());
-    if (trace().armed()) {
-      trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
-                   msg.seq(), 0.0, msg.span_id());
-    }
+    SendDeny(msg, rec.last_applied_seq);
     return;
   }
   if (msg.seq() <= rec.last_applied_seq &&
@@ -419,11 +412,7 @@ void StateStoreServer::HandleRenewOnly(MsgView msg) {
   m_.renew_reqs.Add();
   FlowRecord& rec = GetOrCreate(msg.key());
   if (LeaseActiveByOther(rec, msg.reply_to())) {
-    SendDeny(msg.key(), msg.reply_to(), rec.last_applied_seq, msg.span_id());
-    if (trace().armed()) {
-      trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
-                   msg.seq(), 0.0, msg.span_id());
-    }
+    SendDeny(msg, rec.last_applied_seq);
     return;
   }
   msg.SetAck(AckKind::kRenewAck);

@@ -224,10 +224,9 @@ class StateStoreServer : public sim::Node {
   FlowRecord& GetOrCreate(const net::PartitionKey& key);
   bool LeaseActiveByOther(const FlowRecord& rec, net::Ipv4Addr requester) const;
 
-  /// Sends a kLeaseDenied ack for `key` to `requester`, echoing the denied
-  /// request's observability span id.
-  void SendDeny(const net::PartitionKey& key, net::Ipv4Addr requester,
-                std::uint64_t last_applied_seq, std::uint64_t span = 0);
+  /// Answers `request` with a kLeaseDenied ack carrying `last_applied_seq`
+  /// and the request's span id, then emits obs::Ev::kStoreDenied.
+  void SendDeny(const core::MsgView& request, std::uint64_t last_applied_seq);
 
   /// Re-examines buffered Inits for `key` (called when a lease lapses).
   void PumpPendingInits(const net::PartitionKey& key);
