@@ -139,6 +139,15 @@ void RedPlaneSwitch::Process(dp::SwitchContext& ctx, net::Packet pkt) {
   HandleAppPacket(ctx, std::move(pkt));
 }
 
+void RedPlaneSwitch::RecirculateInput(net::Packet pkt) {
+  node_.Recirculate([this, p = std::move(pkt)](
+                        dp::SwitchContext& rctx) mutable {
+    // The input was counted on its first pass; this pass must not recount.
+    m_.orig_bytes.Add(-static_cast<double>(p.WireSize()));
+    HandleAppPacket(rctx, std::move(p));
+  });
+}
+
 void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
   const auto key = app_.KeyOf(pkt);
   if (!key.has_value()) {
@@ -524,11 +533,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
         if (piggy.has_value()) {
           // The first packet of the flow, returned with the grant: process
           // it now on a fresh pipeline pass.
-          node_.Recirculate([this, p = std::move(*piggy)](
-                                dp::SwitchContext& rctx) mutable {
-            m_.orig_bytes.Add(-static_cast<double>(p.WireSize()));
-            HandleAppPacket(rctx, std::move(p));
-          });
+          RecirculateInput(std::move(*piggy));
         }
       };
       if (app_.StateInMatchTable()) {
@@ -614,11 +619,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           m_.malformed_acks.Add();
           return;
         }
-        node_.Recirculate([this, p = std::move(*piggy)](
-                              dp::SwitchContext& rctx) mutable {
-          m_.orig_bytes.Add(-static_cast<double>(p.WireSize()));
-          HandleAppPacket(rctx, std::move(p));
-        });
+        RecirculateInput(std::move(*piggy));
       } else {
         // A processed output whose awaited write is now durable.
         auto piggy = msg.PiggybackPacket();

@@ -140,6 +140,10 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   /// Handles a normal application packet.
   void HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt);
 
+  /// Runs an input returned by the store (piggybacked on a grant or a
+  /// buffered-read return) through the pipeline again on a fresh pass.
+  void RecirculateInput(net::Packet pkt);
+
   /// Mergeable multi-writer path (DESIGN.md §14): local admission, zero-RTT
   /// writes, outputs released immediately; modified state is marked dirty
   /// and shipped to the store by the periodic merge tick.
