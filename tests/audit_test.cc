@@ -10,22 +10,19 @@
 #include <sstream>
 #include <vector>
 
+#include "apps/counter.h"
 #include "audit/auditor.h"
 #include "audit/diag.h"
 #include "audit/lin_feed.h"
 #include "audit/monitors.h"
 #include "audit/slice.h"
 #include "core/consistency.h"
-#include "core/redplane_switch.h"
-#include "net/codec.h"
 #include "obs/json.h"
 #include "obs/recovery.h"
 #include "obs/tracer.h"
-#include "sim/host.h"
 #include "sim/link.h"
-#include "sim/network.h"
-#include "statestore/server.h"
 #include "tests/audit_diag.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
@@ -461,128 +458,28 @@ TEST(LinFeedTest, FlowsAreIndependent) {
 // the test-only config hooks.  Clean twins of every mutated scenario run
 // the same traffic and must stay silent.
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSw1Ip(172, 16, 0, 1);
-constexpr net::Ipv4Addr kSw2Ip(172, 16, 0, 2);
-
-class CounterApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counter"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    core::SetState(state,
-                   core::StateAs<std::uint64_t>(state).value_or(0) + 1);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
-  }
-};
-
-struct AuditHarness {
+/// The two-switch rig (seed 77) in front of a chain of `chain_len` stores,
+/// audited; the renew window opens only near expiry, so scenario traffic
+/// produces exactly the protocol messages each scenario scripts.
+struct AuditHarness : rig::WithApp<apps::SyncCounterApp>, rig::Rig {
   struct Options {
     int chain_len = 1;
     store::StoreConfig::ProtocolMutations head_mutations{};
     SimDuration lease_extension = 0;
   };
 
-  explicit AuditHarness(Options opt) {
-    net = std::make_unique<sim::Network>(sim, 77);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig c1, c2;
-    c1.switch_ip = kSw1Ip;
-    c2.switch_ip = kSw2Ip;
-    sw1 = net->AddNode<dp::SwitchNode>("sw1", c1);
-    sw2 = net->AddNode<dp::SwitchNode>("sw2", c2);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    net->Connect(src, 0, sw1, 0);
-    net->Connect(src, 1, sw2, 0);
-    net->Connect(dst, 0, sw1, 1);
-    net->Connect(dst, 1, sw2, 1);
-    net->Connect(sw1, 2, hub, 0);
-    net->Connect(sw2, 2, hub, 1);
+  explicit AuditHarness(Options opt) : Rig(app, RigOptionsFor(opt)) {}
 
-    for (int i = 0; i < opt.chain_len; ++i) {
-      store::StoreConfig store_cfg;
-      store_cfg.lease_period = Milliseconds(10);
-      if (i == 0) store_cfg.mutations = opt.head_mutations;
-      auto* server = net->AddNode<store::StateStoreServer>(
-          "store" + std::to_string(i), net::Ipv4Addr(172, 16, 1, 1 + i),
-          store_cfg);
-      net->Connect(server, 0, hub, static_cast<PortId>(2 + i));
-      stores.push_back(server);
-    }
-    for (std::size_t i = 0; i < stores.size(); ++i) {
-      stores[i]->SetIsHead(i == 0);
-      if (i + 1 < stores.size()) {
-        stores[i]->SetChainSuccessor(stores[i + 1]->ip());
-      } else {
-        stores[i]->ClearChainSuccessor();
-      }
-    }
-
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (drop_next_to_sw1 && pkt.ip->dst == kSw1Ip) {
-        drop_next_to_sw1 = false;
-        ++dropped;
-        return;
-      }
-      if (pkt.ip->dst == kSw1Ip) {
-        self.SendTo(0, std::move(pkt));
-        return;
-      }
-      if (pkt.ip->dst == kSw2Ip) {
-        self.SendTo(1, std::move(pkt));
-        return;
-      }
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        if (pkt.ip->dst == stores[i]->ip()) {
-          self.SendTo(static_cast<PortId>(2 + i), std::move(pkt));
-          return;
-        }
-      }
-    });
-    auto forwarder = [](const net::Packet& pkt,
-                        PortId) -> std::optional<PortId> {
-      if (!pkt.ip.has_value()) return std::nullopt;
-      if (pkt.ip->dst == kSrcIp) return PortId{0};
-      if (pkt.ip->dst == kDstIp) return PortId{1};
-      return PortId{2};
-    };
-    sw1->SetForwarder(forwarder);
-    sw2->SetForwarder(forwarder);
-
-    core::RedPlaneConfig rp_cfg;
-    rp_cfg.lease_period = Milliseconds(10);
-    // Renew only near expiry, so scenario traffic produces exactly the
-    // protocol messages each scenario scripts (no interleaved renews).
-    rp_cfg.renew_interval = Milliseconds(1);
-    rp_cfg.mutation_lease_extension = opt.lease_extension;
-    auto shard_for = [this](const net::PartitionKey&) {
-      return stores.front()->ip();
-    };
-    rp1 = std::make_unique<core::RedPlaneSwitch>(*sw1, app, shard_for, rp_cfg);
-    rp2 = std::make_unique<core::RedPlaneSwitch>(*sw2, app, shard_for, rp_cfg);
-    sw1->SetPipeline(rp1.get());
-    sw2->SetPipeline(rp2.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet) { ++delivered; });
-
-    tracer.SetClock([this] { return sim.Now(); });
-    tracer.SetEnabled(true);
-    prev_tracer = obs::SetGlobalTracer(&tracer);
-    auditor.ArmStandardMonitors();
-    tracer.Subscribe(auditor);
+  static rig::RigOptions RigOptionsFor(const Options& opt) {
+    rig::RigOptions o{.seed = 77, .stores = opt.chain_len, .audit = true};
+    o.store.mutations = opt.head_mutations;
+    o.rp.lease_period = Milliseconds(10);
+    o.rp.renew_interval = Milliseconds(1);
+    o.rp.mutation_lease_extension = opt.lease_extension;
+    return o;
   }
 
-  ~AuditHarness() { obs::SetGlobalTracer(prev_tracer); }
-
-  net::FlowKey Flow() const {
-    return {kSrcIp, kDstIp, 4242, 80, net::IpProto::kUdp};
-  }
-  void Run(SimDuration d) { sim.RunUntil(sim.Now() + d); }
+  net::FlowKey Flow() const { return rig::UdpFlow(4242); }
 
   std::size_t TotalViolations() const { return auditor.violations().size(); }
 
@@ -600,25 +497,6 @@ struct AuditHarness {
       EXPECT_TRUE(obs::ValidateJson(v.slice.PerfettoJson()));
     }
   }
-
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src = nullptr;
-  sim::HostNode* dst = nullptr;
-  sim::HostNode* hub = nullptr;
-  dp::SwitchNode* sw1 = nullptr;
-  dp::SwitchNode* sw2 = nullptr;
-  std::vector<store::StateStoreServer*> stores;
-  CounterApp app;
-  std::unique_ptr<core::RedPlaneSwitch> rp1;
-  std::unique_ptr<core::RedPlaneSwitch> rp2;
-  int delivered = 0;
-  int dropped = 0;
-  bool drop_next_to_sw1 = false;
-
-  obs::Tracer tracer;
-  obs::Tracer* prev_tracer = nullptr;
-  Auditor auditor;
 };
 
 // --- lease mutation: the switch believes its lease outlives the store's ---
@@ -633,7 +511,7 @@ struct AuditHarness {
 void DriveLeaseScenario(AuditHarness& h) {
   h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
   h.Run(Milliseconds(5));  // write acked; sw1 holds the lease
-  sim::Link* link = h.net->FindLink(h.sw1, h.hub);
+  sim::Link* link = h.net->FindLink(h.sw[0], h.hub);
   ASSERT_NE(link, nullptr);
   link->SetUp(false);  // sw1 is isolated from the store but still alive
   h.Run(Milliseconds(30));  // store-side lease lapses
@@ -664,7 +542,12 @@ TEST(MutationDetectionTest, LeaseScenarioCleanTwinIsSilent) {
 void DriveSeqScenario(AuditHarness& h) {
   h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
   h.Run(Milliseconds(3));  // lease + first write settled
-  h.drop_next_to_sw1 = true;  // swallow the next store→sw1 ack
+  // Swallow the next store→sw1 ack.
+  h.drop = [armed = true](const net::Packet& pkt) mutable {
+    if (!armed || pkt.ip->dst != rig::kSw1Ip) return false;
+    armed = false;
+    return true;
+  };
   h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
   h.Run(Milliseconds(5));  // retransmit fires and is answered
   EXPECT_EQ(h.dropped, 1);

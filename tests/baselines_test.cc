@@ -21,21 +21,6 @@ net::FlowKey TestFlow(std::uint16_t port = 1000) {
   return {kSrcIp, kDstIp, port, 80, net::IpProto::kUdp};
 }
 
-/// Simple write-per-packet counter app reused across baseline tests.
-class CounterApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counter"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    const auto count = core::StateAs<std::uint64_t>(state).value_or(0) + 1;
-    core::SetState(state, count);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
-  }
-};
-
 /// Table-state echo app (forces control-plane installs for new flows).
 class TableEchoApp : public core::SwitchApp {
  public:
@@ -85,7 +70,7 @@ struct BaselineHarness {
 
 TEST(PlainPipelineTest, ForwardsAndCountsLocally) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   PlainAppPipeline plain(*h.sw, app);
   h.sw->SetPipeline(&plain);
   for (int i = 0; i < 5; ++i) {
@@ -115,7 +100,7 @@ TEST(PlainPipelineTest, TableStateFirstPacketWaitsForControlPlane) {
 
 TEST(PlainPipelineTest, StateLostOnSwitchFailure) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   PlainAppPipeline plain(*h.sw, app);
   h.sw->SetPipeline(&plain);
   h.src->Send(net::MakeUdpPacket(TestFlow(), 0));
@@ -127,7 +112,7 @@ TEST(PlainPipelineTest, StateLostOnSwitchFailure) {
 
 TEST(ControllerFtTest, NewFlowCommitsToControllerBeforeRelease) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   auto* controller = h.net->AddNode<ControllerNode>("ctrl", Microseconds(30));
   ControllerFtPipeline pipeline(*h.sw, app, *controller, Microseconds(40));
   h.sw->SetPipeline(&pipeline);
@@ -140,7 +125,7 @@ TEST(ControllerFtTest, NewFlowCommitsToControllerBeforeRelease) {
 
 TEST(ControllerFtTest, CommittedStateRestorableAfterFailure) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   auto* controller = h.net->AddNode<ControllerNode>("ctrl", Microseconds(30));
   ControllerFtPipeline pipeline(*h.sw, app, *controller, Microseconds(40));
   h.sw->SetPipeline(&pipeline);
@@ -164,7 +149,7 @@ TEST(ControllerFtTest, CommittedStateRestorableAfterFailure) {
 
 TEST(RollbackTest, LineRateOverwhelmsControlChannelLog) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   RollbackPipeline rollback(*h.sw, app, /*max_queued_logs=*/8);
   h.sw->SetPipeline(&rollback);
   // A burst far beyond the PCIe channel's drain rate.
@@ -177,7 +162,7 @@ TEST(RollbackTest, LineRateOverwhelmsControlChannelLog) {
 
   // Replay reconstructs the WRONG state (the §2.2 incorrectness): the
   // rebuilt counter is below the live one.
-  CounterApp fresh;
+  apps::SyncCounterApp fresh;
   const auto rebuilt = rollback.Replay(fresh);
   const auto key = net::PartitionKey::OfFlow(TestFlow());
   const auto it = rebuilt.find(key);
@@ -190,7 +175,7 @@ TEST(RollbackTest, LineRateOverwhelmsControlChannelLog) {
 
 TEST(RollbackTest, LowRateTrafficReplaysCorrectly) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   RollbackPipeline rollback(*h.sw, app, 64);
   h.sw->SetPipeline(&rollback);
   for (int i = 0; i < 10; ++i) {
@@ -199,7 +184,7 @@ TEST(RollbackTest, LowRateTrafficReplaysCorrectly) {
   }
   h.sim.Run();
   EXPECT_EQ(rollback.packets_not_logged(), 0u);
-  CounterApp fresh;
+  apps::SyncCounterApp fresh;
   const auto rebuilt = rollback.Replay(fresh);
   const auto key = net::PartitionKey::OfFlow(TestFlow());
   ASSERT_TRUE(rebuilt.count(key));
@@ -208,7 +193,7 @@ TEST(RollbackTest, LowRateTrafficReplaysCorrectly) {
 
 TEST(ServerNfTest, AddsSoftwareLatencyOverSwitchPath) {
   BaselineHarness h;
-  CounterApp app;
+  apps::SyncCounterApp app;
   // NF server hangs off switch port 2.
   auto* nf = h.net->AddNode<ServerNfNode>("nf", net::Ipv4Addr(172, 16, 2, 1),
                                           app, ServerNfConfig{});
@@ -230,7 +215,7 @@ TEST(ServerNfTest, AddsSoftwareLatencyOverSwitchPath) {
 TEST(ServerNfTest, FtVariantPaysReplicationOnWrites) {
   sim::Simulator sim;
   sim::Network net(sim, 2);
-  CounterApp app1, app2;
+  apps::SyncCounterApp app1, app2;
   ServerNfConfig plain_cfg;
   ServerNfConfig ft_cfg;
   ft_cfg.replication_latency = Microseconds(25);
@@ -254,7 +239,7 @@ TEST(ServerNfTest, FtVariantPaysReplicationOnWrites) {
 TEST(SwitchChainTest, TailReleasesAfterChainTraversal) {
   sim::Simulator sim;
   sim::Network net(sim, 7);
-  CounterApp app;
+  apps::SyncCounterApp app;
   dp::SwitchConfig c1, c2;
   c1.switch_ip = net::Ipv4Addr(172, 16, 0, 1);
   c2.switch_ip = net::Ipv4Addr(172, 16, 0, 2);
@@ -292,7 +277,7 @@ TEST(SwitchChainTest, TailReleasesAfterChainTraversal) {
 TEST(SwitchChainTest, LossOnChainLinkSilentlyDiverges) {
   sim::Simulator sim;
   sim::Network net(sim, 13);
-  CounterApp app;
+  apps::SyncCounterApp app;
   dp::SwitchConfig c1, c2;
   c1.switch_ip = net::Ipv4Addr(172, 16, 0, 1);
   c2.switch_ip = net::Ipv4Addr(172, 16, 0, 2);

@@ -9,11 +9,7 @@
 #include "apps/spreader.h"
 #include "apps/syn_defense.h"
 #include "common/rng.h"
-#include "core/redplane_switch.h"
-#include "net/codec.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/server.h"
+#include "tests/rig.h"
 
 namespace redplane::apps {
 namespace {
@@ -159,68 +155,29 @@ TEST(SequencerTest, KeyOfPartitionsByGroup) {
 /// End to end: the sequencer through RedPlane continues its sequence after
 /// failover — no duplicate stamps (NOPaxos's correctness requirement).
 TEST(SequencerTest, FailoverNeverDuplicatesStampsUnderRedPlane) {
-  sim::Simulator sim;
-  sim::Network net(sim, 9);
-  auto* src = net.AddNode<sim::HostNode>("src", net::Ipv4Addr(10, 0, 0, 1));
-  auto* dst = net.AddNode<sim::HostNode>("dst", net::Ipv4Addr(192, 168, 10, 1));
-  dp::SwitchConfig c1, c2;
-  c1.switch_ip = net::Ipv4Addr(172, 16, 0, 1);
-  c2.switch_ip = net::Ipv4Addr(172, 16, 0, 2);
-  auto* sw1 = net.AddNode<dp::SwitchNode>("sw1", c1);
-  auto* sw2 = net.AddNode<dp::SwitchNode>("sw2", c2);
-  store::StoreConfig store_cfg;
-  store_cfg.lease_period = Milliseconds(5);
-  auto* store = net.AddNode<store::StateStoreServer>(
-      "store", net::Ipv4Addr(172, 16, 1, 1), store_cfg);
-  auto* hub = net.AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-  net.Connect(src, 0, sw1, 0);
-  net.Connect(src, 1, sw2, 0);
-  net.Connect(dst, 0, sw1, 1);
-  net.Connect(dst, 1, sw2, 1);
-  net.Connect(sw1, 2, hub, 0);
-  net.Connect(sw2, 2, hub, 1);
-  net.Connect(store, 0, hub, 2);
-  hub->SetHandler([&](sim::HostNode& self, net::Packet pkt) {
-    if (!pkt.ip.has_value()) return;
-    if (pkt.ip->dst == store->ip()) self.SendTo(2, std::move(pkt));
-    else if (pkt.ip->dst == c1.switch_ip) self.SendTo(0, std::move(pkt));
-    else if (pkt.ip->dst == c2.switch_ip) self.SendTo(1, std::move(pkt));
-  });
-  auto fwd = [&](const net::Packet& pkt, PortId) -> std::optional<PortId> {
-    if (!pkt.ip.has_value()) return std::nullopt;
-    if (pkt.ip->dst == src->ip()) return PortId{0};
-    if (pkt.ip->dst == dst->ip()) return PortId{1};
-    return PortId{2};
-  };
-  sw1->SetForwarder(fwd);
-  sw2->SetForwarder(fwd);
-
   SequencerApp app;
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(5);
-  auto shard = [&](const net::PartitionKey&) { return store->ip(); };
-  core::RedPlaneSwitch rp1(*sw1, app, shard, rp_cfg);
-  core::RedPlaneSwitch rp2(*sw2, app, shard, rp_cfg);
-  sw1->SetPipeline(&rp1);
-  sw2->SetPipeline(&rp2);
+  rig::Rig h(app, {.seed = 9, .rp = rp_cfg});
 
   std::vector<std::uint64_t> stamps;
-  dst->SetHandler([&](sim::HostNode&, net::Packet pkt) {
+  h.dst->SetHandler([&](sim::HostNode&, net::Packet pkt) {
     const auto hdr = ParseSequencedPacket(pkt);
     if (hdr.has_value()) stamps.push_back(hdr->stamp);
   });
 
-  net::FlowKey f{src->ip(), dst->ip(), 5, kSequencerPort, net::IpProto::kUdp};
+  net::FlowKey f{rig::kSrcIp, rig::kDstIp, 5, kSequencerPort,
+                 net::IpProto::kUdp};
   for (int i = 0; i < 5; ++i) {
-    src->SendTo(0, MakeSequencedPacket(f, 1));
-    sim.RunUntil(sim.Now() + Milliseconds(1));
+    h.src->SendTo(0, MakeSequencedPacket(f, 1));
+    h.Run(Milliseconds(1));
   }
-  sw1->SetUp(false);  // the sequencer's switch dies
+  h.sw[0]->SetUp(false);  // the sequencer's switch dies
   for (int i = 0; i < 5; ++i) {
-    src->SendTo(1, MakeSequencedPacket(f, 1));
-    sim.RunUntil(sim.Now() + Milliseconds(2));
+    h.src->SendTo(1, MakeSequencedPacket(f, 1));
+    h.Run(Milliseconds(2));
   }
-  sim.RunUntil(sim.Now() + Milliseconds(50));
+  h.Run(Milliseconds(50));
 
   ASSERT_GE(stamps.size(), 9u);
   std::set<std::uint64_t> unique(stamps.begin(), stamps.end());

@@ -8,123 +8,30 @@
 
 #include <set>
 
-#include "core/redplane_switch.h"
-#include "net/codec.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/partition.h"
-#include "statestore/server.h"
+#include "apps/counter.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSw1Ip(172, 16, 0, 1);
-constexpr net::Ipv4Addr kSw2Ip(172, 16, 0, 2);
+/// The two-switch rig (seed 77) in front of `num_shards` independent
+/// store shards.
+struct MultiShardHarness : rig::WithApp<apps::SyncCounterApp>, rig::Rig {
+  explicit MultiShardHarness(int num_shards)
+      : Rig(app, {.seed = 77,
+                  .stores = num_shards,
+                  .layout = rig::StoreLayout::kShards,
+                  .rp = LeaseConfig()}) {}
 
-class CounterApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counter"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    core::SetState(state,
-                   core::StateAs<std::uint64_t>(state).value_or(0) + 1);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
-  }
-};
-
-struct MultiShardHarness {
-  explicit MultiShardHarness(int num_shards) {
-    net = std::make_unique<sim::Network>(sim, 77);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig c1, c2;
-    c1.switch_ip = kSw1Ip;
-    c2.switch_ip = kSw2Ip;
-    sw1 = net->AddNode<dp::SwitchNode>("sw1", c1);
-    sw2 = net->AddNode<dp::SwitchNode>("sw2", c2);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    net->Connect(src, 0, sw1, 0);
-    net->Connect(src, 1, sw2, 0);
-    net->Connect(dst, 0, sw1, 1);
-    net->Connect(dst, 1, sw2, 1);
-    net->Connect(sw1, 2, hub, 0);
-    net->Connect(sw2, 2, hub, 1);
-
-    store::StoreConfig store_cfg;
-    store_cfg.lease_period = Milliseconds(10);
-    std::vector<net::Ipv4Addr> shard_ips;
-    for (int i = 0; i < num_shards; ++i) {
-      auto* server = net->AddNode<store::StateStoreServer>(
-          "shard" + std::to_string(i), net::Ipv4Addr(172, 16, 1, 1 + i),
-          store_cfg);
-      net->Connect(server, 0, hub, static_cast<PortId>(2 + i));
-      shards.push_back(server);
-      shard_ips.push_back(server->ip());
-    }
-    map = store::PartitionMap(shard_ips);
-
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (pkt.ip->dst == kSw1Ip) {
-        self.SendTo(0, std::move(pkt));
-        return;
-      }
-      if (pkt.ip->dst == kSw2Ip) {
-        self.SendTo(1, std::move(pkt));
-        return;
-      }
-      for (std::size_t i = 0; i < shards.size(); ++i) {
-        if (pkt.ip->dst == shards[i]->ip()) {
-          self.SendTo(static_cast<PortId>(2 + i), std::move(pkt));
-          return;
-        }
-      }
-    });
-    auto forwarder = [](const net::Packet& pkt,
-                        PortId) -> std::optional<PortId> {
-      if (!pkt.ip.has_value()) return std::nullopt;
-      if (pkt.ip->dst == kSrcIp) return PortId{0};
-      if (pkt.ip->dst == kDstIp) return PortId{1};
-      return PortId{2};
-    };
-    sw1->SetForwarder(forwarder);
-    sw2->SetForwarder(forwarder);
-
+  static core::RedPlaneConfig LeaseConfig() {
     core::RedPlaneConfig rp_cfg;
     rp_cfg.lease_period = Milliseconds(10);
-    auto shard_for = [this](const net::PartitionKey& key) {
-      return map.ShardFor(key);
-    };
-    rp1 = std::make_unique<core::RedPlaneSwitch>(*sw1, app, shard_for, rp_cfg);
-    rp2 = std::make_unique<core::RedPlaneSwitch>(*sw2, app, shard_for, rp_cfg);
-    sw1->SetPipeline(rp1.get());
-    sw2->SetPipeline(rp2.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet) { ++delivered; });
+    return rp_cfg;
   }
 
   net::FlowKey FlowI(int i) {
-    return {kSrcIp, kDstIp, static_cast<std::uint16_t>(1000 + i), 80,
-            net::IpProto::kUdp};
+    return rig::UdpFlow(static_cast<std::uint16_t>(1000 + i));
   }
-
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src;
-  sim::HostNode* dst;
-  sim::HostNode* hub;
-  dp::SwitchNode* sw1;
-  dp::SwitchNode* sw2;
-  std::vector<store::StateStoreServer*> shards;
-  store::PartitionMap map;
-  CounterApp app;
-  std::unique_ptr<core::RedPlaneSwitch> rp1;
-  std::unique_ptr<core::RedPlaneSwitch> rp2;
-  int delivered = 0;
 };
 
 class MultiShard : public ::testing::TestWithParam<int> {};
@@ -148,8 +55,8 @@ TEST_P(MultiShard, FlowsPartitionAcrossShards) {
     const auto key = net::PartitionKey::OfFlow(h.FlowI(i));
     const std::size_t idx = h.map.ShardIndexFor(key);
     used.insert(idx);
-    for (std::size_t s = 0; s < h.shards.size(); ++s) {
-      const auto* rec = h.shards[s]->Find(key);
+    for (std::size_t s = 0; s < h.stores.size(); ++s) {
+      const auto* rec = h.stores[s]->Find(key);
       if (s == idx) {
         ASSERT_NE(rec, nullptr) << "flow " << i;
         EXPECT_EQ(rec->last_applied_seq, 3u);
@@ -158,7 +65,7 @@ TEST_P(MultiShard, FlowsPartitionAcrossShards) {
       }
     }
   }
-  EXPECT_EQ(used.size(), h.shards.size());
+  EXPECT_EQ(used.size(), h.stores.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, MultiShard, ::testing::Values(1, 2, 3));
@@ -174,7 +81,7 @@ TEST(MultiShardTest, FailoverMigratesEachFlowFromItsOwnShard) {
 
   // Reroute everything to sw2 (sw1 fails); each flow migrates from its
   // responsible shard and the counters continue at 2.
-  h.sw1->SetUp(false);
+  h.sw[0]->SetUp(false);
   h.sim.RunUntil(h.sim.Now() + Milliseconds(20));  // leases lapse
   for (int i = 0; i < flows; ++i) {
     h.src->SendTo(1, net::MakeUdpPacket(h.FlowI(i), 20));
@@ -183,12 +90,12 @@ TEST(MultiShardTest, FailoverMigratesEachFlowFromItsOwnShard) {
   EXPECT_EQ(h.delivered, 2 * flows);
   for (int i = 0; i < flows; ++i) {
     const auto key = net::PartitionKey::OfFlow(h.FlowI(i));
-    const auto* rec = h.shards[h.map.ShardIndexFor(key)]->Find(key);
+    const auto* rec = h.stores[h.map.ShardIndexFor(key)]->Find(key);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->last_applied_seq, 2u);
-    EXPECT_EQ(rec->owner, kSw2Ip);
+    EXPECT_EQ(rec->owner, rig::kSw2Ip);
   }
-  EXPECT_GE(h.rp2->stats().Get("grants_migrate"), static_cast<double>(flows));
+  EXPECT_GE(h.rp[1]->stats().Get("grants_migrate"), static_cast<double>(flows));
 }
 
 }  // namespace

@@ -10,119 +10,41 @@
 #include <string>
 #include <vector>
 
-#include "core/redplane_switch.h"
-#include "net/codec.h"
+#include "apps/counter.h"
 #include "obs/json.h"
 #include "obs/spans.h"
-#include "obs/tracer.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/server.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
 
 using obs::Ev;
 using obs::SpanTree;
-using obs::Tracer;
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSwIp(172, 16, 0, 1);
+/// One RedPlane switch (seed 11) in front of a 3-replica store chain,
+/// traced: every data packet is a write, so each one produces a replication
+/// request that traverses head → mid → tail and acks back to the switch.
+struct TracedChainHarness : rig::WithApp<apps::SyncCounterApp>, rig::Rig {
+  explicit TracedChainHarness(SimDuration coalesce_delay = 0)
+      : Rig(app, {.seed = 11,
+                  .switches = 1,
+                  .stores = 3,
+                  .rp = Config(coalesce_delay),
+                  .audit = true}) {}
 
-/// RAII guard that installs a tracer as the process-global one.
-struct GlobalTracerGuard {
-  explicit GlobalTracerGuard(Tracer* t) : prev(obs::SetGlobalTracer(t)) {}
-  ~GlobalTracerGuard() { obs::SetGlobalTracer(prev); }
-  Tracer* prev;
-};
-
-class CounterApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counter"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    core::SetState(state,
-                   core::StateAs<std::uint64_t>(state).value_or(0) + 1);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
-  }
-};
-
-/// One RedPlane switch in front of a 3-replica store chain, traced: every
-/// data packet is a write, so each one produces a replication request that
-/// traverses head → mid → tail and acks back to the switch.
-struct TracedChainHarness {
-  explicit TracedChainHarness(SimDuration coalesce_delay = 0) {
-    tracer.SetClock([this]() { return sim.Now(); });
-    tracer.SetEnabled(true);
-
-    net = std::make_unique<sim::Network>(sim, 11);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig sc;
-    sc.switch_ip = kSwIp;
-    sw = net->AddNode<dp::SwitchNode>("sw", sc);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    net->Connect(src, 0, sw, 0);
-    net->Connect(dst, 0, sw, 1);
-    net->Connect(sw, 2, hub, 0);
-
-    store::StoreConfig store_cfg;
-    store_cfg.lease_period = Milliseconds(10);
-    for (int i = 0; i < 3; ++i) {
-      auto* server = net->AddNode<store::StateStoreServer>(
-          "store" + std::to_string(i), net::Ipv4Addr(172, 16, 1, 1 + i),
-          store_cfg);
-      net->Connect(server, 0, hub, static_cast<PortId>(1 + i));
-      stores.push_back(server);
-    }
-    for (int i = 0; i < 3; ++i) {
-      stores[i]->SetIsHead(i == 0);
-      if (i + 1 < 3) stores[i]->SetChainSuccessor(stores[i + 1]->ip());
-    }
-
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (pkt.ip->dst == kSwIp) {
-        self.SendTo(0, std::move(pkt));
-        return;
-      }
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        if (pkt.ip->dst == stores[i]->ip()) {
-          self.SendTo(static_cast<PortId>(1 + i), std::move(pkt));
-          return;
-        }
-      }
-    });
-    sw->SetForwarder([](const net::Packet& pkt,
-                        PortId) -> std::optional<PortId> {
-      if (!pkt.ip.has_value()) return std::nullopt;
-      if (pkt.ip->dst == kSrcIp) return PortId{0};
-      if (pkt.ip->dst == kDstIp) return PortId{1};
-      return PortId{2};
-    });
-
+  static core::RedPlaneConfig Config(SimDuration coalesce_delay) {
     core::RedPlaneConfig rp_cfg;
     rp_cfg.lease_period = Milliseconds(10);
     rp_cfg.coalesce_delay = coalesce_delay;
-    rp = std::make_unique<core::RedPlaneSwitch>(
-        *sw, app, [this](const net::PartitionKey&) { return stores[0]->ip(); },
-        rp_cfg);
-    sw->SetPipeline(rp.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet) { ++delivered; });
+    return rp_cfg;
   }
 
   net::FlowKey FlowI(int i) {
-    return {kSrcIp, kDstIp, static_cast<std::uint16_t>(2000 + i), 80,
-            net::IpProto::kUdp};
+    return rig::UdpFlow(static_cast<std::uint16_t>(2000 + i));
   }
 
   /// Sends `packets` paced packets per flow and runs to quiescence.
   void RunWrites(int flows, int packets) {
-    GlobalTracerGuard guard(&tracer);
     for (int p = 0; p < packets; ++p) {
       for (int i = 0; i < flows; ++i) {
         src->SendTo(0, net::MakeUdpPacket(FlowI(i), 64));
@@ -131,18 +53,6 @@ struct TracedChainHarness {
     }
     sim.Run();
   }
-
-  Tracer tracer;
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src;
-  sim::HostNode* dst;
-  sim::HostNode* hub;
-  dp::SwitchNode* sw;
-  std::vector<store::StateStoreServer*> stores;
-  CounterApp app;
-  std::unique_ptr<core::RedPlaneSwitch> rp;
-  int delivered = 0;
 };
 
 /// Write spans: those that begin at the switch's replication send and close
@@ -240,7 +150,7 @@ TEST(SpansTest, SpanIdsSurviveBatchEnvelopes) {
   h.RunWrites(/*flows=*/4, /*packets=*/3);
   ASSERT_GT(h.delivered, 0);
   // Batching actually engaged.
-  EXPECT_GT(h.rp->stats().Get("batch_envelopes"), 0);
+  EXPECT_GT(h.rp[0]->stats().Get("batch_envelopes"), 0);
 
   const auto spans = obs::BuildSpanTrees(h.tracer);
   int write_spans = 0;
