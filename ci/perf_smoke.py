@@ -134,6 +134,10 @@ def run_bench(bench_path):
             "--benchmark_min_time=0.2",
             "--benchmark_repetitions=3",
             "--benchmark_report_aggregates_only=true",
+            # Run the repetitions of all benchmarks in random order, so each
+            # A/B twin is measured interleaved with its partner rather than
+            # minutes apart under a different machine load.
+            "--benchmark_enable_random_interleaving=true",
         ],
         check=True,
         capture_output=True,
